@@ -450,9 +450,10 @@ func BenchmarkFig19DTW(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("series=%d/MESSI-DTW", n), func(b *testing.B) {
+			sx := shard.Wrap(ix)
 			for i := 0; i < b.N; i++ {
-				q := queries.At(i % queries.Count())
-				if _, err := ix.SearchDTW(q, window, core.SearchOptions{}); err != nil {
+				req := core.Request{Query: queries.At(i % queries.Count()), DTW: true, Window: window}
+				if _, err := sx.Do(req, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -528,9 +529,10 @@ func BenchmarkAblationApproxVsExact(b *testing.B) {
 	queries := benchQueriesFor(b, dataset.RandomWalk)
 	ix := buildMESSI(b, data, messiOpts())
 	b.Run("approximate", func(b *testing.B) {
+		sx := shard.Wrap(ix)
 		for i := 0; i < b.N; i++ {
-			q := queries.At(i % queries.Count())
-			if _, err := ix.ApproxSearch(q, core.SearchOptions{}); err != nil {
+			req := core.Request{Query: queries.At(i % queries.Count()), Mode: core.ModeApprox}
+			if _, err := sx.Do(req, core.SearchOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -596,7 +598,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			eng := engine.New(ix, engine.Options{})
 			defer eng.Close()
 			runClients(b, clients, func(q []float32) error {
-				_, err := eng.Search(q)
+				_, err := eng.Do(core.Request{Query: q})
 				return err
 			})
 		})
@@ -608,7 +610,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			eng := engine.New(ix, engine.Options{QueryWorkers: perQuery, MaxConcurrent: clients})
 			defer eng.Close()
 			runClients(b, clients, func(q []float32) error {
-				_, err := eng.Search(q)
+				_, err := eng.Do(core.Request{Query: q})
 				return err
 			})
 		})
@@ -695,9 +697,10 @@ func BenchmarkKNN(b *testing.B) {
 	ix := buildMESSI(b, data, messiOpts())
 	for _, k := range []int{1, 5, 25} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			sx := shard.Wrap(ix)
 			for i := 0; i < b.N; i++ {
-				q := queries.At(i % queries.Count())
-				if _, err := ix.SearchKNN(q, k, core.SearchOptions{}); err != nil {
+				req := core.Request{Query: queries.At(i % queries.Count()), K: k}
+				if _, err := sx.Do(req, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -785,7 +788,7 @@ func BenchmarkShardedQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", S), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				q := queries.At(i % queries.Count())
-				if _, err := x.Search(q, core.SearchOptions{}); err != nil {
+				if _, err := x.Do(core.Request{Query: q}, core.SearchOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1167,7 +1167,8 @@ func errorStatus(err error) int {
 	case errors.Is(err, messi.ErrBadK),
 		errors.Is(err, messi.ErrBadWindow),
 		errors.Is(err, messi.ErrWrongLength),
-		errors.Is(err, messi.ErrBadEpsilon):
+		errors.Is(err, messi.ErrBadEpsilon),
+		errors.Is(err, messi.ErrNonFinite):
 		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -521,12 +522,12 @@ func TestLiveSnapshotEndpoint(t *testing.T) {
 	if !strings.Contains(source, "snapshot") {
 		t.Fatalf("boot source %q does not mention the snapshot", source)
 	}
-	m, err := booted.Search(novel)
+	res, err := booted.Do(context.Background(), messi.SearchRequest{Query: novel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Position != 800 || m.Distance != 0 {
-		t.Fatalf("appended series missing from live snapshot boot: %+v", m)
+	if m := res.Best(); m.Position != 800 || m.Distance != 0 {
+		t.Fatalf("appended series missing from live snapshot boot: %+v", res.Matches)
 	}
 }
 
@@ -808,6 +809,11 @@ func TestSearchEndpointBadRequests(t *testing.T) {
 		if rr := postJSON(t, h, "/v1/search", tc.req); rr.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, rr.Code, rr.Body)
 		}
+	}
+	// JSON cannot carry NaN or ±Inf, so the non-finite sentinel is
+	// checked at the classifier.
+	if got := errorStatus(fmt.Errorf("query: %w", messi.ErrNonFinite)); got != http.StatusBadRequest {
+		t.Errorf("ErrNonFinite: status %d, want 400", got)
 	}
 }
 

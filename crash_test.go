@@ -1,6 +1,7 @@
 package messi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -131,7 +132,7 @@ func runCrashScenario(t *testing.T, point string, shards int, spec fault.Spec, r
 	// A query far from every indexed ramp: its best-so-far stays large,
 	// so no leaf prunes and the search reaches the scan failpoints. It
 	// may fail — query-path points are armed on purpose.
-	_, _ = ix.Search(make([]float32, crashSeriesLen))
+	_, _ = search(ix, make([]float32, crashSeriesLen))
 	snapErr := ix.Save(snapPath)
 	if snapErr != nil && !errors.Is(snapErr, fault.ErrInjected) {
 		t.Fatalf("save failed with a non-injected error: %v", snapErr)
@@ -183,7 +184,7 @@ func runCrashScenario(t *testing.T, point string, shards int, spec fault.Spec, r
 	if _, err := rec.Append(crashRow(acked)); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
-	if _, err := rec.Search(crashRow(0)); err != nil {
+	if _, err := search(rec, crashRow(0)); err != nil {
 		t.Fatalf("search after recovery: %v", err)
 	}
 }
@@ -274,11 +275,42 @@ func TestQueryPanickedPublicSentinel(t *testing.T) {
 	if err := fault.Arm("engine.unit", fault.Spec{Action: fault.Panic}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ix.Search(q); !errors.Is(err, ErrQueryPanicked) {
+	if _, err := search(ix, q); !errors.Is(err, ErrQueryPanicked) {
 		t.Fatalf("err = %v, want ErrQueryPanicked", err)
 	}
-	if _, err := ix.Search(q); err != nil {
+	if _, err := search(ix, q); err != nil {
 		t.Fatalf("query after recovered panic: %v (pool must keep serving)", err)
+	}
+}
+
+// TestQueryPanickedIndexDo: a panic on a search goroutine of a one-shot
+// Index.Do — the per-query spawn mode, single tree or shard fan-out —
+// fails that query with ErrQueryPanicked instead of the process, and the
+// next query is answered exactly.
+func TestQueryPanickedIndexDo(t *testing.T) {
+	t.Cleanup(fault.DisarmAll)
+	data := RandomWalk(2000, crashSeriesLen, 12)
+	for _, S := range []int{1, 2} {
+		ix, err := BuildFlat(data, crashSeriesLen, &Options{LeafCapacity: 64, SearchWorkers: 4, Shards: S})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := RandomWalk(1, crashSeriesLen, 13)
+		want := bruteKNN(t, data, crashSeriesLen, q, 1)
+		if err := fault.Arm("core.scanleaf", fault.Spec{Action: fault.Panic}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := search(ix, q); !errors.Is(err, ErrQueryPanicked) {
+			t.Fatalf("S=%d: err = %v, want ErrQueryPanicked", S, err)
+		}
+		fault.DisarmAll()
+		res, err := ix.Do(context.Background(), SearchRequest{Query: q})
+		if err != nil {
+			t.Fatalf("S=%d: query after recovered panic: %v", S, err)
+		}
+		if !res.Exact || res.Best().Distance != want[0] {
+			t.Fatalf("S=%d: query after recovered panic: %+v, want exact distance %v", S, res, want[0])
+		}
 	}
 }
 

@@ -124,7 +124,7 @@ func TestApproxSearchUpperBoundsExact(t *testing.T) {
 	exactAtLeastOnce := false
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
-		approx, err := ix.ApproxSearch(q, SearchOptions{})
+		approx, err := runApprox(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestApproxSearchUpperBoundsExact(t *testing.T) {
 func TestApproxSearchSelfQueryIsExact(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 1000, 64, smallOpts())
 	for i := 0; i < 10; i++ {
-		m, err := ix.ApproxSearch(ix.Data.At(i*101%1000), SearchOptions{})
+		m, err := runApprox(ix, ix.Data.At(i*101%1000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestApproxSearchSelfQueryIsExact(t *testing.T) {
 
 func TestApproxSearchValidation(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 100, 64, smallOpts())
-	if _, err := ix.ApproxSearch(make([]float32, 16), SearchOptions{}); err == nil {
+	if _, err := runApprox(ix, make([]float32, 16)); err == nil {
 		t.Error("wrong-length query accepted")
 	}
 }

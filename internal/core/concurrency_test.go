@@ -66,13 +66,13 @@ func TestConcurrentMixedQueryKinds(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := ix.SearchKNN(q, 3, SearchOptions{}); err != nil {
+			if _, err := run(ix, Request{Query: q, K: 3}, SearchOptions{}); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := ix.SearchDTW(q, 6, SearchOptions{}); err != nil {
+			if _, err := runDTW(ix, q, 6, SearchOptions{}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -102,7 +102,7 @@ func TestDuplicateSeries(t *testing.T) {
 	if m.Dist != 0 || m.Position < 0 || m.Position > 9 {
 		t.Fatalf("duplicate search: %+v", m)
 	}
-	ms, err := ix.SearchKNN(data.At(0), 10, SearchOptions{})
+	ms, err := run(ix, Request{Query: data.At(0), K: 10}, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -79,6 +80,36 @@ func bruteForceDTW(data *series.Collection, query []float32, window int) Match {
 		}
 	}
 	return best
+}
+
+// run answers one request in the per-query spawn mode.
+func run(ix *Index, req Request, opt SearchOptions) ([]Match, error) {
+	r, err := ix.NewRun(req, nil, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Run(); err != nil {
+		return nil, err
+	}
+	return r.Matches(), nil
+}
+
+// runDTW answers one exact DTW 1-NN query in the per-query spawn mode.
+func runDTW(ix *Index, query []float32, window int, opt SearchOptions) (Match, error) {
+	ms, err := run(ix, Request{Query: query, DTW: true, Window: window}, opt)
+	if err != nil {
+		return Match{}, err
+	}
+	return ms[0], nil
+}
+
+// runApprox answers one ModeApprox 1-NN query.
+func runApprox(ix *Index, query []float32) (Match, error) {
+	ms, err := run(ix, Request{Query: query, Mode: ModeApprox}, SearchOptions{})
+	if err != nil {
+		return Match{}, err
+	}
+	return ms[0], nil
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -285,7 +316,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 		for qi := 0; qi < queries.Count(); qi++ {
 			q := queries.At(qi)
 			want := bruteForceKNN(ix.Data, q, k)
-			got, err := ix.SearchKNN(q, k, SearchOptions{})
+			got, err := run(ix, Request{Query: q, K: k}, SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,14 +344,15 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 
 func TestKNNValidation(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 100, 64, smallOpts())
-	if _, err := ix.SearchKNN(ix.Data.At(0), 0, SearchOptions{}); err == nil {
-		t.Error("k=0 accepted")
+	if _, err := run(ix, Request{Query: ix.Data.At(0), K: -3}, SearchOptions{}); !errors.Is(err, ErrBadK) {
+		t.Errorf("negative k: %v, want ErrBadK", err)
 	}
-	if _, err := ix.SearchKNN(ix.Data.At(0), -3, SearchOptions{}); err == nil {
-		t.Error("negative k accepted")
+	// K=0 means 1-NN.
+	if got, err := run(ix, Request{Query: ix.Data.At(0)}, SearchOptions{}); err != nil || len(got) != 1 {
+		t.Errorf("k=0: %v, %v; want one match", got, err)
 	}
 	// k larger than the collection is clamped.
-	got, err := ix.SearchKNN(ix.Data.At(0), 1000, SearchOptions{})
+	got, err := run(ix, Request{Query: ix.Data.At(0), K: 1000}, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +368,7 @@ func TestSearchDTWMatchesBruteForce(t *testing.T) {
 	for qi := 0; qi < queries.Count(); qi++ {
 		q := queries.At(qi)
 		want := bruteForceDTW(ix.Data, q, window)
-		got, err := ix.SearchDTW(q, window, SearchOptions{})
+		got, err := runDTW(ix, q, window, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +388,7 @@ func TestSearchDTWZeroWindowEqualsED(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dt, err := ix.SearchDTW(q, 0, SearchOptions{})
+		dt, err := runDTW(ix, q, 0, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,10 +400,10 @@ func TestSearchDTWZeroWindowEqualsED(t *testing.T) {
 
 func TestSearchDTWValidation(t *testing.T) {
 	ix := buildTestIndex(t, dataset.RandomWalk, 100, 64, smallOpts())
-	if _, err := ix.SearchDTW(ix.Data.At(0), -1, SearchOptions{}); err == nil {
+	if _, err := runDTW(ix, ix.Data.At(0), -1, SearchOptions{}); err == nil {
 		t.Error("negative window accepted")
 	}
-	if _, err := ix.SearchDTW(ix.Data.At(0), 64, SearchOptions{}); err == nil {
+	if _, err := runDTW(ix, ix.Data.At(0), 64, SearchOptions{}); err == nil {
 		t.Error("window >= length accepted")
 	}
 }

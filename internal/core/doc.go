@@ -4,6 +4,20 @@
 // answering of §III-B (Algorithms 5-9), plus the DTW mode (Figure 19) and
 // a k-NN extension of the same machinery.
 //
+// # One query path
+//
+// Every query — Euclidean or DTW, 1-NN or k-NN, any quality mode — is one
+// SearchRun, built by Index.NewRun from a Request. The run picks its
+// distance kernel once: the lower-bound table comes from the query's PAA
+// (Euclidean) or from its LB_Keogh envelope (DTW, per §IV: "no changes
+// … in the index structure"), and surviving candidates are refined with
+// the squared Euclidean distance or with LB_Keogh then the banded DTW.
+// The approximate descent, the tree traversal, the queue drain and the
+// leaf scan are shared. A ModeApprox run stops after the approximate
+// descent. SearchRun.Run executes a run on goroutines spawned for it (the
+// paper's per-query mode, behind Index.Search and shard.Index.Do);
+// internal/engine executes the same InsertPhase/DrainPhase as pool units.
+//
 // # Contracts
 //
 // An *Index is immutable once Build returns: every search method is safe
@@ -15,9 +29,12 @@
 // Request/Result and the QoS type extend the paper's exact search into a
 // quality spectrum: exact, approximate (leaf-only), epsilon (prune at
 // lb·(1+ε)², answer proven within 1+ε of optimal), and deadline (stop at
-// a time budget, report the proven bound). Validation failures are the
-// sentinel errors ErrBadK, ErrBadWindow, ErrWrongLength, and ErrBadEpsilon
-// so callers can map them to API responses without string matching.
+// a time budget, report the proven bound). Request.Validate is the one
+// validation site; its failures wrap the sentinel errors ErrBadK,
+// ErrBadWindow, ErrBadEpsilon and ErrNonFinite (the index adds
+// ErrWrongLength), so callers can map them to API responses without string
+// matching. A panic on a search worker fails only its query, with an error
+// wrapping ErrQueryPanicked.
 //
 // # Concurrency invariants
 //

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -110,30 +109,6 @@ func (t *topK) results() []Match {
 		return out[i].Position < out[j].Position
 	})
 	return out
-}
-
-// validateKNN checks the query shape and k for a k-NN search.
-func (ix *Index) validateKNN(query []float32, k int) error {
-	if err := ix.validateQuery(query); err != nil {
-		return err
-	}
-	if k <= 0 {
-		return fmt.Errorf("%w, got %d", ErrBadK, k)
-	}
-	return nil
-}
-
-// SearchKNN answers an exact k-NN query using the MESSI machinery with the
-// top-k bound in place of the single BSF. It returns at most k matches
-// sorted by ascending distance.
-func (ix *Index) SearchKNN(query []float32, k int, opt SearchOptions) ([]Match, error) {
-	r, err := ix.NewKNNRun(query, k, nil, opt)
-	if err != nil {
-		return nil, err
-	}
-	r.Run()
-	r.releaseTable()
-	return r.Matches(), nil
 }
 
 // assert interface satisfaction: both bounds plug into the same search.

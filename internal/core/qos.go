@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dtw"
 	"repro/internal/stats"
 )
 
@@ -37,6 +39,14 @@ var (
 	ErrWrongLength = errors.New("core: query length does not match index series length")
 	// ErrBadEpsilon reports a negative or non-finite ε tolerance.
 	ErrBadEpsilon = errors.New("core: epsilon must be finite and non-negative")
+	// ErrNonFinite reports a query holding a NaN or infinite value: no
+	// series is at a finite distance from it, so any answer would be
+	// empty yet look exact.
+	ErrNonFinite = errors.New("core: query values must be finite")
+	// ErrQueryPanicked is returned (wrapped, see PanicError) by a query
+	// whose execution panicked on a worker — a spawned one or a pool
+	// unit. The panic is confined to that one query.
+	ErrQueryPanicked = errors.New("core: query panicked")
 )
 
 // Mode selects the quality-of-service level of one query.
@@ -85,7 +95,8 @@ func (m Mode) Valid() bool { return m >= ModeExact && m <= ModeDeadline }
 // and the live index (which fuses a delta scan into it).
 type Request struct {
 	Query []float32
-	// K is the number of neighbors; 0 and 1 both mean 1-NN.
+	// K is the number of neighbors; 0 and 1 both mean 1-NN. K > 1 is not
+	// supported under DTW.
 	K int
 	// DTW selects constrained Dynamic Time Warping with a Sakoe-Chiba
 	// band of Window points; false means Euclidean distance.
@@ -111,18 +122,33 @@ type Request struct {
 	Breakdown *stats.Breakdown
 }
 
-// Validate checks the mode-specific parameters (query shape is validated
-// against the index by the backends).
+// Validate is the one validation site of the request contract: mode,
+// K, DTW window, ε, and the query's values. Only the query's length is
+// left to the backends, which know the index shape. Every failure wraps
+// one of the sentinel errors.
 func (req Request) Validate() error {
 	if !req.Mode.Valid() {
 		return errors.New("core: unknown search mode")
 	}
 	if req.K < 0 {
-		return ErrBadK
+		return fmt.Errorf("%w, got %d", ErrBadK, req.K)
+	}
+	if req.DTW {
+		if req.K > 1 {
+			return fmt.Errorf("core: k-NN under DTW is not supported (k=%d): %w", req.K, ErrBadK)
+		}
+		if err := dtw.CheckWindow(len(req.Query), req.Window); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadWindow, err)
+		}
 	}
 	if req.Mode == ModeEpsilon &&
 		(math.IsNaN(req.Epsilon) || math.IsInf(req.Epsilon, 0) || req.Epsilon < 0) {
 		return ErrBadEpsilon
+	}
+	for i, v := range req.Query {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("%w: query[%d] = %v", ErrNonFinite, i, v)
+		}
 	}
 	return nil
 }

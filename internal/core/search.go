@@ -1,11 +1,16 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"log/slog"
 	"math"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dtw"
 	"repro/internal/fault"
 	"repro/internal/isax"
 	"repro/internal/paa"
@@ -17,10 +22,10 @@ import (
 
 // fpScanLeaf is the failpoint inside the leaf-scan kernel — the
 // deepest point of query execution, where a panic exercises the whole
-// recovery chain (pool worker → per-query recorder → ErrQueryPanicked).
-// An Error spec panics too: scanLeaf has no error return, and the
-// engine's recovery is exactly what turns worker failures into typed
-// per-query errors.
+// recovery chain (pool unit or spawned worker → per-query error wrapping
+// ErrQueryPanicked). An Error spec panics too: scanLeaf has no error
+// return, and the executors' recovery is exactly what turns worker
+// failures into typed per-query errors.
 var fpScanLeaf = fault.Register("core.scanleaf")
 
 // SearchOptions configures one query. Zero fields inherit the index
@@ -179,8 +184,9 @@ type QueryState struct {
 // NewQueryState returns an empty reusable scratch state.
 func NewQueryState() *QueryState { return &QueryState{} }
 
-// SearchRun is one in-flight exact query: the shared per-query state
-// (pruning bound, priority queues, root-claim counter) that any number of
+// SearchRun is one in-flight query of any kind — 1-NN or k-NN, Euclidean
+// or DTW, any quality mode: the shared per-query state (pruning bound,
+// distance kernel, priority queues, root-claim counter) that any number of
 // workers operate on. It decomposes Algorithm 6 into two phases so that
 // workers can be either goroutines spawned for this query (Run) or units
 // dispatched onto a persistent pool (internal/engine):
@@ -191,12 +197,15 @@ func NewQueryState() *QueryState { return &QueryState{} }
 //	              all-inserted barrier of line 7), drain queues until all
 //	              are finished (lines 8-13).
 //
-// All phase methods are safe for concurrent use; pid distinguishes
-// workers for queue-cursor and randomization purposes.
+// A ModeApprox run is answered by its init step alone (Settled reports
+// true) and has no phases to execute. All phase methods are safe for
+// concurrent use; pid distinguishes workers for queue-cursor and
+// randomization purposes.
 type SearchRun struct {
 	ix          *Index
 	query       []float32
-	table       *isax.DistTable // per-query MINDIST table, built once in init
+	kern        kernel
+	table       *isax.DistTable // per-query lower-bound table, built once in init
 	pooledTable bool            // table borrowed from ix.tables (no QueryState)
 	bnd         bound
 	bsf         *stats.BSF // set for 1-NN runs
@@ -206,42 +215,49 @@ type SearchRun struct {
 	opt         SearchOptions
 	qos         *QoS    // nil for plain exact runs
 	escale      float64 // qos.Scale(): (1+ε)² lower-bound inflation, 1 = exact
+	settled     bool    // approximate answer complete after init
 }
 
-// NewSearchRun prepares an exact 1-NN query: it validates the query,
-// computes its PAA and iSAX summaries, seeds the BSF with the approximate
-// search, and readies the queue set. st may be nil (fresh allocations) or
-// a reused QueryState. The query must already be z-normalized if the
-// indexed data is (the public API layer handles this).
-func (ix *Index) NewSearchRun(query []float32, st *QueryState, opt SearchOptions) (*SearchRun, error) {
-	if err := ix.validateQuery(query); err != nil {
+// NewRun prepares one query: it validates the request, picks the distance
+// kernel, computes the query's PAA and iSAX summaries, seeds the bound
+// (opt.Seeds, then the approximate descent), and — unless the approximate
+// descent already answers a ModeApprox request — builds the lower-bound
+// table and readies the queue set. K > 1 runs keep a top-k set (K is
+// clamped to the collection size plus seeds); 1-NN runs keep a BSF, the
+// caller's opt.Shared when set. Counters and Breakdown default to the
+// request's. st may be nil (fresh allocations) or a reused QueryState.
+// The query must already be z-normalized if the indexed data is (the
+// public API layer handles this).
+func (ix *Index) NewRun(req Request, st *QueryState, opt SearchOptions) (*SearchRun, error) {
+	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	bsf := opt.Shared
-	if bsf == nil {
-		bsf = stats.NewBSF()
-	}
-	r := &SearchRun{ix: ix, query: query, bnd: workerBound(bsf, opt.GlobalPos), bsf: bsf,
-		opt: opt.withDefaults(ix.Opts), qos: opt.QoS, escale: opt.QoS.Scale()}
-	r.init(st)
-	return r, nil
-}
-
-// NewKNNRun prepares an exact k-NN query (see NewSearchRun); k is clamped
-// to the collection size.
-func (ix *Index) NewKNNRun(query []float32, k int, st *QueryState, opt SearchOptions) (*SearchRun, error) {
-	if err := ix.validateKNN(query, k); err != nil {
+	if err := ix.validateQuery(req.Query); err != nil {
 		return nil, err
 	}
-	// Seeds may reference series outside this index (a live index's delta
-	// buffer), so the answer set can be larger than the collection.
-	if k > ix.Data.Count()+len(opt.Seeds) {
-		k = ix.Data.Count() + len(opt.Seeds)
+	if opt.Counters == nil {
+		opt.Counters = req.Counters
 	}
-	best := newTopK(k)
-	r := &SearchRun{ix: ix, query: query, bnd: workerBound(best, opt.GlobalPos), top: best,
-		opt: opt.withDefaults(ix.Opts), qos: opt.QoS, escale: opt.QoS.Scale()}
-	r.init(st)
+	if opt.Breakdown == nil {
+		opt.Breakdown = req.Breakdown
+	}
+	r := &SearchRun{ix: ix, query: req.Query, opt: opt.withDefaults(ix.Opts),
+		qos: opt.QoS, escale: opt.QoS.Scale()}
+	if req.K > 1 {
+		// Seeds may reference series outside this index (a live index's
+		// delta buffer), so the answer set can be larger than the
+		// collection.
+		k := min(req.K, ix.Data.Count()+len(opt.Seeds))
+		r.top = newTopK(k)
+		r.bnd = workerBound(r.top, opt.GlobalPos)
+	} else {
+		r.bsf = opt.Shared
+		if r.bsf == nil {
+			r.bsf = stats.NewBSF()
+		}
+		r.bnd = workerBound(r.bsf, opt.GlobalPos)
+	}
+	r.init(req, st)
 	return r, nil
 }
 
@@ -256,9 +272,11 @@ func (r *SearchRun) globalBnd() bound {
 }
 
 // init computes the query summaries (into st's buffers when available),
-// builds the per-query distance table, seeds the bound via the
-// approximate search, and sizes the queue set.
-func (r *SearchRun) init(st *QueryState) {
+// picks the kernel, seeds the bound, and runs the approximate descent. A
+// ModeApprox run whose descent reached a non-empty leaf is settled there;
+// every other run (including the approximate fallback for an empty leaf)
+// builds its distance table and sizes the queue set.
+func (r *SearchRun) init(req Request, st *QueryState) {
 	bd := r.opt.Breakdown
 	var tInit time.Time
 	if bd.Enabled() {
@@ -269,50 +287,111 @@ func (r *SearchRun) init(st *QueryState) {
 	if st != nil {
 		paaBuf, wordBuf = st.paaBuf, st.wordBuf
 	}
-	qpaa := paa.Transform(r.query, r.ix.Schema.Segments, paaBuf)
+	w := r.ix.Schema.Segments
+	qpaa := paa.Transform(r.query, w, paaBuf)
 	qword := r.ix.Schema.WordFromPAA(qpaa, wordBuf)
 	if st != nil {
 		st.paaBuf, st.wordBuf = qpaa, qword
-		// The table's geometry is schema-bound; a pooled state may have
-		// last served a different generation (engine Swap) or a sibling
-		// shard, so recheck — same geometry means the buffer is reusable.
-		if st.table == nil || !st.table.Schema().SameGeometry(r.ix.Schema) {
-			st.table = r.ix.Schema.NewDistTable()
-		}
-		r.table = st.table
-		st.queues.Resize(r.opt.Queues, 64)
-		r.queues = &st.queues
-	} else {
-		r.table, r.pooledTable = r.ix.getTable(), true
-		r.queues = pqueue.NewSet[*tree.Node](r.opt.Queues, 64)
 	}
-	r.table.BuildPAA(qpaa)
+	r.kern = newKernel(req, qpaa, w)
 	for _, s := range r.opt.Seeds {
 		r.globalBnd().Update(s.Dist, int64(s.Position))
 	}
-	r.ix.approxSearch(r.query, qpaa, qword, r.table, r.bnd, r.opt.Counters)
+	if req.Mode == ModeApprox {
+		// No distance table: the approximate answer only needs one in the
+		// rare empty-leaf fallback, and its point is to be cheap.
+		r.settled = r.descend(qword) > 0
+	}
+	if !r.settled {
+		if st != nil {
+			// The table's geometry is schema-bound; a pooled state may
+			// have last served a different generation (engine Swap) or a
+			// sibling shard, so recheck — same geometry means the buffer
+			// is reusable.
+			if st.table == nil || !st.table.Schema().SameGeometry(r.ix.Schema) {
+				st.table = r.ix.Schema.NewDistTable()
+			}
+			r.table = st.table
+			st.queues.Resize(r.opt.Queues, 64)
+			r.queues = &st.queues
+		} else {
+			r.table, r.pooledTable = r.ix.getTable(), true
+			r.queues = pqueue.NewSet[*tree.Node](r.opt.Queues, 64)
+		}
+		r.kern.build(r.table)
+		if req.Mode != ModeApprox {
+			r.descend(qword)
+		}
+	}
 	if bd.Enabled() {
 		bd.Add(stats.PhaseInit, time.Since(tInit))
 	}
 }
 
+// Settled reports whether the run was answered by its init step (a
+// ModeApprox run); its phases then have nothing to do.
+func (r *SearchRun) Settled() bool { return r.settled }
+
 // Run executes the query with opt.Workers goroutines spawned for this run
-// only — the paper's original per-query execution mode (Algorithm 5/6).
-func (r *SearchRun) Run() {
+// only — the paper's original per-query execution mode (Algorithm 5/6) —
+// then returns a pool-borrowed table. A panic on any worker fails the run
+// with an error wrapping ErrQueryPanicked instead of the process. Call it
+// at most once.
+func (r *SearchRun) Run() error {
+	defer r.releaseTable()
+	if r.settled {
+		return nil
+	}
 	var insertBarrier sync.WaitGroup // all-inserted barrier (Algorithm 6 line 7)
 	insertBarrier.Add(r.opt.Workers)
 	var wg sync.WaitGroup
+	errs := make([]error, r.opt.Workers)
 	for pid := 0; pid < r.opt.Workers; pid++ {
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
+			inserted := false
+			defer func() {
+				if rec := recover(); rec != nil {
+					if !inserted {
+						insertBarrier.Done() // never strand the siblings at the barrier
+					}
+					errs[pid] = PanicError(rec)
+				}
+			}()
 			r.InsertPhase(pid)
+			inserted = true
 			insertBarrier.Done()
 			insertBarrier.Wait()
 			r.DrainPhase(pid)
 		}(pid)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// PanicError converts a value recovered from a panicking query worker into
+// an error wrapping ErrQueryPanicked (and the panic value itself when it is
+// an error, so its chain stays matchable). The stack goes to slog — at Info
+// level for the failpoint package's deliberate panics — so API consumers see
+// a clean sentinel while operators keep the trace.
+func PanicError(r any) error {
+	level := slog.LevelError
+	if fault.IsInjectedPanic(r) {
+		level = slog.LevelInfo // chaos tests inject these on purpose
+	}
+	slog.Default().Log(context.Background(), level, "query worker panicked",
+		"panic", fmt.Sprint(r),
+		"stack", string(debug.Stack()))
+	if perr, ok := r.(error); ok {
+		return fmt.Errorf("%w: %w", ErrQueryPanicked, perr)
+	}
+	return fmt.Errorf("%w: %v", ErrQueryPanicked, r)
 }
 
 // Best returns the 1-NN answer. Call only after all workers finished.
@@ -321,13 +400,18 @@ func (r *SearchRun) Best() Match {
 	return Match{Position: int(pos), Dist: d}
 }
 
-// Matches returns the k-NN answers sorted by ascending distance. Call
-// only after all workers finished.
-func (r *SearchRun) Matches() []Match { return r.top.results() }
+// Matches returns the answer sorted by ascending distance: the k-NN set,
+// or the one 1-NN match (Position -1 when nothing was found). Call only
+// after all workers finished.
+func (r *SearchRun) Matches() []Match {
+	if r.top != nil {
+		return r.top.results()
+	}
+	return []Match{r.Best()}
+}
 
 // releaseTable returns a pool-borrowed table after the run completes.
-// Only the Index-owned entry points call it; externally created runs
-// (NewSearchRun with a nil state) simply let their table be collected.
+// Runs backed by a QueryState own no pooled table.
 func (r *SearchRun) releaseTable() {
 	if r.pooledTable {
 		r.ix.putTable(r.table)
@@ -397,16 +481,17 @@ func (r *SearchRun) DrainPhase(pid int) {
 	}
 }
 
-// Search answers an exact 1-NN query (Algorithm 5). The query must be
-// z-normalized by the caller if the indexed data is (the public API layer
-// handles this).
+// Search answers an exact 1-NN Euclidean query (Algorithm 5) in the
+// per-query spawn mode. The query must be z-normalized by the caller if
+// the indexed data is (the public API layer handles this).
 func (ix *Index) Search(query []float32, opt SearchOptions) (Match, error) {
-	r, err := ix.NewSearchRun(query, nil, opt)
+	r, err := ix.NewRun(Request{Query: query}, nil, opt)
 	if err != nil {
 		return Match{}, err
 	}
-	r.Run()
-	r.releaseTable()
+	if err := r.Run(); err != nil {
+		return Match{}, err
+	}
 	return r.Best(), nil
 }
 
@@ -493,7 +578,7 @@ func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScrat
 		if bd.Enabled() {
 			t0 = time.Now()
 		}
-		r.ix.scanLeaf(item.Value, r.query, r.table, scratch, r.bnd, r.qos, r.escale, ctrs)
+		r.scanLeaf(item.Value, scratch, ctrs)
 		if bd.Enabled() {
 			bd.Add(stats.PhaseDistCalc, time.Since(t0))
 		}
@@ -505,13 +590,9 @@ func (r *SearchRun) processQueue(q *pqueue.Queue[*tree.Node], scratch *leafScrat
 // accumulated into the worker's scratch buffer by streaming each symbol
 // column against its distance-table row (w tight table-load-and-add
 // column loops — no per-entry word gather, no branches), then only the
-// surviving candidates get the early-abandoning real-distance kernel.
-// The pruning bound is cached locally and refreshed per scanBlock (and
-// after every improvement) instead of loading the shared atomic twice
-// per candidate.
-func (ix *Index) scanLeaf(leaf *tree.Node, query []float32, tab *isax.DistTable,
-	scratch *leafScratch, bnd bound, qos *QoS, escale float64, ctrs *stats.Counters) {
-
+// surviving candidates get the kernel's refinement. The kernel is
+// dispatched once per leaf, so neither candidate loop branches on it.
+func (r *SearchRun) scanLeaf(leaf *tree.Node, scratch *leafScratch, ctrs *stats.Counters) {
 	// Worker-panic tests poison one leaf scan here to prove the engine
 	// confines the blast radius to a single query. Disarmed, this is
 	// one atomic load per leaf — invisible next to the scan itself.
@@ -522,136 +603,133 @@ func (ix *Index) scanLeaf(leaf *tree.Node, query []float32, tab *isax.DistTable,
 	if n == 0 {
 		return
 	}
-	lbs := scratch.accumulate(leaf, tab, ix.Schema.Segments)
+	lbs := scratch.accumulate(leaf, r.table, r.ix.Schema.Segments)
+	var keogh, real int64
+	if r.kern.dtw {
+		keogh, real = r.refineLeafDTW(leaf, lbs)
+	} else {
+		real = r.refineLeafED(leaf, lbs)
+	}
+	ctrs.AddLowerBound(int64(n) + keogh)
+	ctrs.AddRealDist(real)
+}
 
-	scale := tab.Scale()
-	limit := bnd.Load()
-	var realCount int64
+// refineLeafED runs the early-abandoning squared Euclidean distance on
+// every leaf entry whose scaled table bound survives the pruning bound,
+// returning the number of distances computed. The pruning bound is cached
+// locally and refreshed per scanBlock (and after every improvement)
+// instead of loading the shared atomic twice per candidate.
+func (r *SearchRun) refineLeafED(leaf *tree.Node, lbs []float64) (real int64) {
+	scale, escale := r.table.Scale(), r.escale
+	limit := r.bnd.Load()
+	n := len(lbs)
 	for base := 0; base < n; base += scanBlock {
-		end := base + scanBlock
-		if end > n {
-			end = n
-		}
+		end := min(base+scanBlock, n)
 		for e := base; e < end; e++ {
 			if lb := lbs[e] * scale; lb*escale >= limit {
 				if escale > 1 && lb < limit {
 					// Candidate skipped only because of ε-inflation.
-					qos.PruneEps(lb)
+					r.qos.PruneEps(lb)
 				}
 				continue
 			}
 			pos := leaf.Positions[e]
-			d := vector.SquaredEuclideanEarlyAbandon(ix.Data.At(int(pos)), query, limit)
-			realCount++
+			d := vector.SquaredEuclideanEarlyAbandon(r.ix.Data.At(int(pos)), r.query, limit)
+			real++
 			if d < limit {
-				if bnd.Update(d, int64(pos)) {
-					ctrs.AddBSFUpdate()
+				if r.bnd.Update(d, int64(pos)) {
+					r.opt.Counters.AddBSFUpdate()
 				}
-				limit = bnd.Load()
+				limit = r.bnd.Load()
 			}
 		}
 		if end < n {
-			limit = bnd.Load()
+			limit = r.bnd.Load()
 		}
 	}
-	ctrs.AddLowerBound(int64(n))
-	ctrs.AddRealDist(realCount)
+	return real
 }
 
-// ApproxSearch answers an approximate 1-NN query: only the BSF-seeding
-// step of the exact algorithm (descend to the query's leaf, best real
-// distance inside it). The paper's progressive-search citation observes
-// this initial answer is usually very close to the exact one; the exact
-// search refines it. Falls back to the exact search in the rare case the
-// descent lands on an empty leaf.
-func (ix *Index) ApproxSearch(query []float32, opt SearchOptions) (Match, error) {
-	if err := ix.validateQuery(query); err != nil {
-		return Match{}, err
+// refineLeafDTW is refineLeafED's DTW form: surviving entries cascade
+// LB_Keogh on the raw candidate, then the early-abandoning banded DTW. It
+// returns the LB_Keogh and DTW computation counts.
+func (r *SearchRun) refineLeafDTW(leaf *tree.Node, lbs []float64) (keogh, real int64) {
+	k := &r.kern
+	scale, escale := r.table.Scale(), r.escale
+	limit := r.bnd.Load()
+	n := len(lbs)
+	for base := 0; base < n; base += scanBlock {
+		end := min(base+scanBlock, n)
+		for e := base; e < end; e++ {
+			if lb := lbs[e] * scale; lb*escale >= limit {
+				if escale > 1 && lb < limit {
+					r.qos.PruneEps(lb)
+				}
+				continue
+			}
+			pos := leaf.Positions[e]
+			cand := r.ix.Data.At(int(pos))
+			keogh++
+			if dtw.LBKeogh(cand, k.lower, k.upper, limit) >= limit {
+				continue
+			}
+			d := dtw.Distance(r.query, cand, k.window, limit)
+			real++
+			if d < limit {
+				if r.bnd.Update(d, int64(pos)) {
+					r.opt.Counters.AddBSFUpdate()
+				}
+				limit = r.bnd.Load()
+			}
+		}
+		if end < n {
+			limit = r.bnd.Load()
+		}
 	}
-	qpaa := paa.Transform(query, ix.Schema.Segments, nil)
-	qword := ix.Schema.WordFromPAA(qpaa, nil)
-	bsf := stats.NewBSF()
-	// Seeds (delta-scan results in a live index) compete with the leaf's
-	// candidates exactly as in an exact run; their positions are global.
-	for _, s := range opt.Seeds {
-		bsf.Update(s.Dist, int64(s.Position))
-	}
-	// No distance table here: the approximate search only needs one in
-	// the rare empty-subtree fallback, and its point is to be cheap.
-	ix.approxSearch(query, qpaa, qword, nil, workerBound(bsf, opt.GlobalPos), opt.Counters)
-	d, pos := bsf.Best()
-	if pos < 0 {
-		return ix.Search(query, opt)
-	}
-	return Match{Position: int(pos), Dist: d}, nil
+	return keogh, real
 }
 
-// ApproxKNN is the k-NN form of ApproxSearch: the query's own leaf (plus
-// any seeds) populates a top-k set. It reports at most k matches — fewer
-// when the leaf holds fewer series — in ascending distance order.
-func (ix *Index) ApproxKNN(query []float32, k int, opt SearchOptions) ([]Match, error) {
-	if err := ix.validateKNN(query, k); err != nil {
-		return nil, err
-	}
-	if k > ix.Data.Count()+len(opt.Seeds) {
-		k = ix.Data.Count() + len(opt.Seeds)
-	}
-	top := newTopK(k)
-	for _, s := range opt.Seeds {
-		top.Update(s.Dist, int64(s.Position))
-	}
-	qpaa := paa.Transform(query, ix.Schema.Segments, nil)
-	qword := ix.Schema.WordFromPAA(qpaa, nil)
-	ix.approxSearch(query, qpaa, qword, nil, workerBound(top, opt.GlobalPos), opt.Counters)
-	ms := top.results()
-	if len(ms) == 0 {
-		return ix.SearchKNN(query, k, opt)
-	}
-	return ms, nil
-}
-
-// approxSearch seeds the BSF (Figure 4(a)): descend to the leaf matching
-// the query's iSAX word and take the best real distance inside it. The
+// descend is the approximate search that seeds the bound (Figure 4(a)):
+// descend to the leaf matching the query's iSAX word and refine every
+// series in it with the run's kernel. It returns the leaf's size. The
 // bound is loaded once per candidate and refreshed only after an update.
-// tab may be nil (the scalar kernel serves the rare empty-subtree
-// fallback); exact runs pass their already-built table.
-func (ix *Index) approxSearch(query []float32, qpaa []float64, qword []uint8,
-	tab *isax.DistTable, bnd bound, ctrs *stats.Counters) {
-
+// Runs without a table yet (ModeApprox) choose the fallback root with the
+// bitwise-identical scalar bound.
+func (r *SearchRun) descend(qword []uint8) int {
+	ix, ctrs := r.ix, r.opt.Counters
 	root := ix.Tree.Root(ix.Schema.RootIndex(qword))
 	if root == nil {
 		// The query's own subtree is empty: fall back to the root child
 		// with the smallest lower bound.
 		best := math.Inf(1)
 		for _, slot := range ix.activeRoots {
-			r := ix.Tree.Root(int(slot))
+			n := ix.Tree.Root(int(slot))
 			var d float64
-			if tab != nil {
-				d = tab.MinDistPrefix(r.Symbols, r.Bits)
+			if r.table != nil {
+				d = r.table.MinDistPrefix(n.Symbols, n.Bits)
 			} else {
-				d = ix.Schema.MinDistPAAPrefix(qpaa, r.Symbols, r.Bits)
+				d = r.kern.minDistPrefix(ix.Schema, n)
 			}
 			ctrs.AddLowerBound(1)
 			if d < best {
 				best = d
-				root = r
+				root = n
 			}
 		}
 	}
 	if root == nil {
-		return // empty tree; validateQuery prevents this for public entry points
+		return 0 // empty tree; validateQuery prevents this
 	}
 	leaf := ix.Tree.DescendToLeaf(root, qword)
-	limit := bnd.Load()
-	for i := 0; i < leaf.LeafLen(); i++ {
-		pos := leaf.Positions[i]
-		d := vector.SquaredEuclideanEarlyAbandon(ix.Data.At(int(pos)), query, limit)
-		ctrs.AddRealDist(1)
+	limit := r.bnd.Load()
+	for _, pos := range leaf.Positions {
+		d := r.kern.refine(ix.Data.At(int(pos)), r.query, limit, ctrs)
 		if d < limit {
-			if bnd.Update(d, int64(pos)) {
+			if r.bnd.Update(d, int64(pos)) {
 				ctrs.AddBSFUpdate()
 			}
-			limit = bnd.Load()
+			limit = r.bnd.Load()
 		}
 	}
+	return leaf.LeafLen()
 }

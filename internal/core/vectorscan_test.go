@@ -121,7 +121,7 @@ func TestVectorizedSearchMatchesNaiveKernels(t *testing.T) {
 			t.Fatalf("query %d: 1-NN %+v, naive kernels say %+v", qi, got, want)
 		}
 
-		gotK, err := ix.SearchKNN(q, k, SearchOptions{})
+		gotK, err := run(ix, Request{Query: q, K: k}, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestVectorizedSearchMatchesNaiveKernels(t *testing.T) {
 			}
 		}
 
-		gotD, err := ix.SearchDTW(q, window, SearchOptions{})
+		gotD, err := runDTW(ix, q, window, SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

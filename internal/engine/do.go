@@ -10,8 +10,8 @@ import (
 )
 
 // Do serves one quality-of-service request through the engine: admission
-// gate, pooled execution for Euclidean searches, spawn-mode execution for
-// DTW, and the overload-degradation policy (Options.DegradeEpsilon).
+// gate, pooled execution for every distance and mode, and the
+// overload-degradation policy (Options.DegradeEpsilon).
 func (e *Engine) Do(req core.Request) (core.Result, error) {
 	return e.DoSeeded(req, nil)
 }
@@ -20,6 +20,12 @@ func (e *Engine) Do(req core.Request) (core.Result, error) {
 // positions) applied to the pruning bound — the live index's delta-scan
 // results. A seed that remains best is part of the answer.
 func (e *Engine) DoSeeded(req core.Request, seeds []core.Match) (core.Result, error) {
+	return e.do(req, seeds, true)
+}
+
+// do is DoSeeded with the overload degradation made optional: SearchBatch
+// queries are always answered exactly.
+func (e *Engine) do(req core.Request, seeds []core.Match, degrade bool) (core.Result, error) {
 	if err := req.Validate(); err != nil {
 		return core.Result{}, err
 	}
@@ -46,7 +52,7 @@ func (e *Engine) DoSeeded(req core.Request, seeds []core.Match) (core.Result, er
 	// instead — it still waits for admission, but runs far cheaper once
 	// admitted, and the result honestly reports what was proven. Requests
 	// that chose their mode explicitly are never rewritten.
-	if req.Mode == core.ModeExact && e.opts.DegradeEpsilon > 0 && len(e.admit) == cap(e.admit) {
+	if degrade && req.Mode == core.ModeExact && e.opts.DegradeEpsilon > 0 && len(e.admit) == cap(e.admit) {
 		req.Mode = core.ModeEpsilon
 		req.Epsilon = e.opts.DegradeEpsilon
 		if e.met != nil {
@@ -90,30 +96,11 @@ func (e *Engine) doAdmitted(sx *shard.Index, req core.Request, seeds []core.Matc
 		return sx.Do(req, core.SearchOptions{Seeds: seeds})
 	}
 
-	if req.Mode == core.ModeApprox || req.DTW {
-		// Approximate answers are a single leaf scan; DTW runs the paper's
-		// per-query spawn mode. Neither uses the pool — delegate to the
-		// shard layer under the admission slot we hold.
-		opt := core.SearchOptions{Workers: e.opts.QueryWorkers, Queues: e.opts.Queues, Seeds: seeds}
-		return sx.Do(req, opt)
-	}
-
-	// Pooled Euclidean path: exact, ε-bounded, and deadline-bounded all run
-	// the exact machinery with the QoS state threaded through every unit.
+	// Exact, approximate, ε-bounded, and deadline-bounded requests all run
+	// one SearchRun per shard with the QoS state threaded through every
+	// unit; a ModeApprox run is settled by its init step.
 	qos := req.NewQoS()
-	base := core.SearchOptions{QoS: qos, Counters: req.Counters, Breakdown: req.Breakdown}
-	k := req.K
-	if k <= 0 {
-		k = 1
-	}
-	if k == 1 {
-		m, err := e.run1NN(sx, req.Query, seeds, base)
-		if err != nil {
-			return core.Result{}, err
-		}
-		return qos.Finish([]core.Match{m}, req.Mode), nil
-	}
-	ms, err := e.runKNN(sx, req.Query, k, seeds, base)
+	ms, err := e.run(sx, req, seeds, core.SearchOptions{QoS: qos})
 	if err != nil {
 		return core.Result{}, err
 	}

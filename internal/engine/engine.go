@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"log/slog"
-	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,8 +21,9 @@ var ErrClosed = errors.New("engine: closed")
 // panicked on a pool worker. The panic is confined to that one query:
 // the worker recovers, the stack goes to slog and the
 // messi_query_panics_total counter, and the pool keeps serving every
-// other query.
-var ErrQueryPanicked = errors.New("engine: query panicked")
+// other query. It is core.ErrQueryPanicked, so errors.Is matches panics
+// from spawn-mode searches too.
+var ErrQueryPanicked = core.ErrQueryPanicked
 
 // fpUnit fires inside a dispatched query work unit, where the
 // worker-panic tests inject a poisoned task to prove one bad query
@@ -61,8 +60,7 @@ type Options struct {
 	// specific mode (approximate, ε, deadline) are never rewritten, and
 	// the result honestly reports Exact=false plus the ε actually
 	// proven. Zero (the default) never degrades. Only Do requests are
-	// subject to degradation; the deprecated always-exact methods stay
-	// exact.
+	// subject to degradation; SearchBatch stays exact.
 	DegradeEpsilon float64
 	// Metrics, when non-nil, receives the engine's production telemetry:
 	// admission-gate pressure, per-mode latency histograms, answer
@@ -181,23 +179,10 @@ func (e *Engine) runTask(t task, pid int) {
 }
 
 // panicErr converts a recovered panic value into an ErrQueryPanicked
-// error. The stack is captured to slog and the panic counted in
-// messi_query_panics_total; the returned error carries only the panic
-// value, so API consumers see a clean sentinel.
+// error (see core.PanicError) and counts it in messi_query_panics_total.
 func (e *Engine) panicErr(r any) error {
 	e.met.recordPanic()
-	level := slog.LevelError
-	if fault.IsInjectedPanic(r) {
-		level = slog.LevelInfo // chaos tests inject these on purpose
-	}
-	slog.Default().Log(context.Background(), level, "query worker panicked",
-		"panic", fmt.Sprint(r),
-		"stack", string(debug.Stack()))
-	// panic(err) keeps its chain matchable through the sentinel.
-	if perr, ok := r.(error); ok {
-		return fmt.Errorf("%w: %w", ErrQueryPanicked, perr)
-	}
-	return fmt.Errorf("%w: %v", ErrQueryPanicked, r)
+	return core.PanicError(r)
 }
 
 // panicBox collects the first panic of one query's work units.
@@ -268,91 +253,68 @@ func (e *Engine) acquire() {
 	e.met.admitted.Inc()
 }
 
-// Search answers an exact 1-NN query on the shared pool. It blocks until
-// the query is admitted and answered.
-func (e *Engine) Search(query []float32) (core.Match, error) {
-	return e.SearchSeeded(query, nil)
-}
-
-// SearchSeeded is Search with externally known candidate matches applied
-// to the pruning bound before the search starts (see
-// core.SearchOptions.Seeds). A seed that remains best is returned as-is.
-func (e *Engine) SearchSeeded(query []float32, seeds []core.Match) (core.Match, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return core.Match{}, ErrClosed
-	}
-	e.acquire()
-	defer func() { <-e.admit }()
-
-	sx := e.sx.Load()
-	if sx == nil {
-		return core.Match{}, ErrNoIndex
-	}
-	return e.run1NN(sx, query, seeds, core.SearchOptions{})
-}
-
-// run1NN executes an already-admitted 1-NN query on the pool. base carries
-// per-query extras (QoS, Counters); worker shape, seeds, and the sharded
-// fan-out plumbing are filled in here — the one shared path under both the
-// deprecated entry points and Do.
-func (e *Engine) run1NN(sx *shard.Index, query []float32, seeds []core.Match, base core.SearchOptions) (m core.Match, err error) {
+// run executes an already-admitted request on the pool and returns its
+// matches — the one pooled path under every request kind and mode. base
+// carries the query's QoS state (Counters and Breakdown come with req);
+// worker shape, seeds, and the sharded fan-out plumbing are filled in
+// here. A sharded
+// generation gets one run per non-empty shard, all dispatched as units on
+// the same pool: 1-NN runs share one best-so-far, k-NN runs merge their
+// top-k sets afterwards.
+func (e *Engine) run(sx *shard.Index, req core.Request, seeds []core.Match, base core.SearchOptions) (ms []core.Match, err error) {
 	// Inline preparation (below) runs on the caller's goroutine; a
 	// panic there must fail this query alone, like one on a pool unit.
 	defer func() {
 		if r := recover(); r != nil {
-			m, err = core.Match{}, e.panicErr(r)
+			ms, err = nil, e.panicErr(r)
 		}
 	}()
 	base.Workers = e.opts.QueryWorkers
 	base.Queues = e.opts.Queues
+	base.Seeds = seeds
+	var runs []*core.SearchRun
+	var sts []*core.QueryState
 	if single := sx.Single(); single != nil {
-		base.Seeds = seeds
 		st := e.states.Get().(*core.QueryState)
-		run, err := single.NewSearchRun(query, st, base)
+		run, err := single.NewRun(req, st, base)
 		if err != nil {
 			e.states.Put(st)
-			return core.Match{}, err
+			return nil, err
 		}
-		rec := &panicBox{}
-		e.execute(run, rec)
-		if perr := rec.load(); perr != nil {
-			// The panicking unit may have left st inconsistent; drop
-			// it rather than returning it to the pool.
-			return core.Match{}, perr
+		runs, sts = []*core.SearchRun{run}, []*core.QueryState{st}
+	} else {
+		e.met.recordFanout()
+		// Seeds go to every run: the k-NN sets each need them, and
+		// re-offering them to the shared BSF is a no-op.
+		base.Shared = stats.NewBSF() // ignored by k-NN runs
+		runs, sts, err = e.shardRuns(sx, func(sh *core.Index, s int, st *core.QueryState) (*core.SearchRun, error) {
+			opt := base
+			opt.GlobalPos = sx.GlobalPosFunc(s)
+			return sh.NewRun(req, st, opt)
+		})
+		if err != nil {
+			return nil, err
 		}
-		m := run.Best()
-		e.states.Put(st)
-		return m, nil
-	}
-
-	// Sharded generation: one run per non-empty shard, all threading one
-	// shared best-so-far, dispatched as per-shard work units on the pool.
-	e.met.recordFanout()
-	shared := stats.NewBSF()
-	for _, s := range seeds {
-		shared.Update(s.Dist, int64(s.Position))
-	}
-	runs, sts, err := e.shardRuns(sx, func(sh *core.Index, s int, st *core.QueryState) (*core.SearchRun, error) {
-		opt := base
-		opt.Shared = shared
-		opt.GlobalPos = sx.GlobalPosFunc(s)
-		return sh.NewSearchRun(query, st, opt)
-	})
-	if err != nil {
-		return core.Match{}, err
 	}
 	rec := &panicBox{}
-	e.executeAll(runs, rec)
+	e.execute(runs, rec)
 	if perr := rec.load(); perr != nil {
-		// Any of the fanned-out states may be the poisoned one;
-		// discard them all (sync.Pool refills on demand).
-		return core.Match{}, perr
+		// Any of the states may be the poisoned one; discard them all
+		// rather than returning them to the pool (sync.Pool refills on
+		// demand).
+		return nil, perr
+	}
+	if len(runs) == 1 {
+		ms = runs[0].Matches()
+	} else {
+		lists := make([][]core.Match, len(runs))
+		for i, run := range runs {
+			lists[i] = run.Matches()
+		}
+		ms = shard.MergeKNN(lists, max(req.K, 1))
 	}
 	e.putStates(sts)
-	d, pos := shared.Best()
-	return core.Match{Position: int(pos), Dist: d}, nil
+	return ms, nil
 }
 
 // shardRuns prepares one run per non-empty shard, borrowing a QueryState
@@ -424,114 +386,11 @@ func (e *Engine) putStates(sts []*core.QueryState) {
 	}
 }
 
-// SearchKNN answers an exact k-NN query on the shared pool, returning up
-// to k matches in ascending distance order.
-func (e *Engine) SearchKNN(query []float32, k int) ([]core.Match, error) {
-	return e.SearchKNNSeeded(query, k, nil)
-}
-
-// SearchKNNSeeded is SearchKNN with externally known candidate matches
-// participating in the top-k set (see core.SearchOptions.Seeds).
-func (e *Engine) SearchKNNSeeded(query []float32, k int, seeds []core.Match) ([]core.Match, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return nil, ErrClosed
-	}
-	e.acquire()
-	defer func() { <-e.admit }()
-
-	sx := e.sx.Load()
-	if sx == nil {
-		return nil, ErrNoIndex
-	}
-	return e.runKNN(sx, query, k, seeds, core.SearchOptions{})
-}
-
-// runKNN executes an already-admitted k-NN query on the pool (see run1NN).
-func (e *Engine) runKNN(sx *shard.Index, query []float32, k int, seeds []core.Match, base core.SearchOptions) (ms []core.Match, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ms, err = nil, e.panicErr(r)
-		}
-	}()
-	base.Workers = e.opts.QueryWorkers
-	base.Queues = e.opts.Queues
-	if single := sx.Single(); single != nil {
-		base.Seeds = seeds
-		st := e.states.Get().(*core.QueryState)
-		run, err := single.NewKNNRun(query, k, st, base)
-		if err != nil {
-			e.states.Put(st)
-			return nil, err
-		}
-		rec := &panicBox{}
-		e.execute(run, rec)
-		if perr := rec.load(); perr != nil {
-			return nil, perr
-		}
-		ms := run.Matches()
-		e.states.Put(st)
-		return ms, nil
-	}
-
-	// Sharded generation: every shard computes its own top-k (each seeded
-	// with the caller's global-position seeds) and the per-shard sets are
-	// merged through a priority queue.
-	e.met.recordFanout()
-	runs, sts, err := e.shardRuns(sx, func(sh *core.Index, s int, st *core.QueryState) (*core.SearchRun, error) {
-		opt := base
-		opt.Seeds = seeds
-		opt.GlobalPos = sx.GlobalPosFunc(s)
-		return sh.NewKNNRun(query, k, st, opt)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rec := &panicBox{}
-	e.executeAll(runs, rec)
-	if perr := rec.load(); perr != nil {
-		return nil, perr
-	}
-	lists := make([][]core.Match, len(runs))
-	for i, run := range runs {
-		lists[i] = run.Matches()
-	}
-	e.putStates(sts)
-	return shard.MergeKNN(lists, k), nil
-}
-
-// SearchDTW answers an exact 1-NN query under constrained DTW with a
-// Sakoe-Chiba band of the given radius (points), fanning out across
-// shards when the generation is sharded. The DTW search runs the paper's
-// per-query spawn mode — its own worker goroutines, not pool units — but
-// it still passes through the engine's admission gate, so a burst of DTW
-// traffic is capped at MaxConcurrent in-flight queries like every other
-// query path instead of spawning unbounded worker fleets.
-func (e *Engine) SearchDTW(query []float32, window int, seeds []core.Match) (core.Match, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return core.Match{}, ErrClosed
-	}
-	e.acquire()
-	defer func() { <-e.admit }()
-
-	sx := e.sx.Load()
-	if sx == nil {
-		return core.Match{}, ErrNoIndex
-	}
-	return sx.SearchDTW(query, window, core.SearchOptions{
-		Workers: e.opts.QueryWorkers,
-		Queues:  e.opts.Queues,
-		Seeds:   seeds,
-	})
-}
-
-// SearchBatch answers many independent 1-NN queries, running up to
+// SearchBatch answers many independent exact 1-NN queries, running up to
 // MaxConcurrent of them through the pool at once. result[i] answers
-// queries[i]. On error it still returns the full slice (failed entries
-// are zero) along with the first error encountered.
+// queries[i]. Batch queries are never degraded (Options.DegradeEpsilon).
+// On error it still returns the full slice (failed entries are zero)
+// along with the first error encountered.
 func (e *Engine) SearchBatch(queries [][]float32) ([]core.Match, error) {
 	out := make([]core.Match, len(queries))
 	errs := make([]error, len(queries))
@@ -553,7 +412,11 @@ func (e *Engine) SearchBatch(queries [][]float32) ([]core.Match, error) {
 				if i >= len(queries) {
 					return
 				}
-				out[i], errs[i] = e.Search(queries[i])
+				var res core.Result
+				res, errs[i] = e.do(core.Request{Query: queries[i]}, nil, false)
+				if errs[i] == nil {
+					out[i] = res.Matches[0]
+				}
 			}
 		}()
 	}
@@ -566,39 +429,38 @@ func (e *Engine) SearchBatch(queries [][]float32) ([]core.Match, error) {
 	return out, nil
 }
 
-// execute runs one prepared query through the pool: QueryWorkers insert
-// units, the all-inserted barrier (awaited here, never inside a pool
-// goroutine), then QueryWorkers drain units. A unit panic is recorded
-// in rec and the drain phase skipped — the run's answer is discarded
-// anyway, and its partially-filled queues are not worth walking.
-func (e *Engine) execute(run *core.SearchRun, rec *panicBox) {
-	e.dispatch(run.InsertPhase, rec)
+// execute runs prepared sibling runs (one per shard, or a single run)
+// through the pool: every run's insert units are dispatched together and
+// awaited before any drain unit starts — a single all-inserted barrier
+// across the whole fan-out, so a shard finishing its tree pass early keeps
+// its bound improvements visible to the shards still traversing. The
+// barrier is awaited here, never inside a pool goroutine. Settled runs
+// (approximate answers complete after init) dispatch nothing. A unit
+// panic is recorded in rec and the drain phase skipped — the answer is
+// discarded anyway, and partially-filled queues are not worth walking.
+func (e *Engine) execute(runs []*core.SearchRun, rec *panicBox) {
+	pending := runs
+	if slices.ContainsFunc(runs, (*core.SearchRun).Settled) {
+		pending = slices.DeleteFunc(slices.Clone(runs), (*core.SearchRun).Settled)
+	}
+	if len(pending) == 0 {
+		return
+	}
+	e.dispatch(pending, (*core.SearchRun).InsertPhase, rec)
 	if rec.load() != nil {
 		return
 	}
-	e.dispatch(run.DrainPhase, rec)
+	e.dispatch(pending, (*core.SearchRun).DrainPhase, rec)
 }
 
-// executeAll runs several sibling runs (one per shard) through the pool:
-// every run's insert units are dispatched together and awaited before any
-// drain unit starts — a single all-inserted barrier across the whole
-// fan-out, so a shard finishing its tree pass early keeps its bound
-// improvements visible to the shards still traversing.
-func (e *Engine) executeAll(runs []*core.SearchRun, rec *panicBox) {
-	e.dispatchAll(runs, (*core.SearchRun).InsertPhase, rec)
-	if rec.load() != nil {
-		return
-	}
-	e.dispatchAll(runs, (*core.SearchRun).DrainPhase, rec)
-}
-
-// dispatchAll enqueues QueryWorkers units of phase for every run and
-// waits for all of them.
-func (e *Engine) dispatchAll(runs []*core.SearchRun, phase func(*core.SearchRun, int), rec *panicBox) {
+// dispatch enqueues QueryWorkers units of phase for every run and waits
+// for all of them. Panics in a unit are recovered on the pool worker
+// (before its wg.Done fires, so the barrier never deadlocks) and
+// recorded.
+func (e *Engine) dispatch(runs []*core.SearchRun, phase func(*core.SearchRun, int), rec *panicBox) {
 	var wg sync.WaitGroup
 	wg.Add(len(runs) * e.opts.QueryWorkers)
 	for _, run := range runs {
-		run := run
 		for i := 0; i < e.opts.QueryWorkers; i++ {
 			e.tasks <- func(pid int) {
 				defer wg.Done()
@@ -613,30 +475,6 @@ func (e *Engine) dispatchAll(runs []*core.SearchRun, phase func(*core.SearchRun,
 				}
 				phase(run, pid)
 			}
-		}
-	}
-	wg.Wait()
-}
-
-// dispatch enqueues QueryWorkers calls of phase and waits for all of them
-// to finish. Panics in a unit are recovered on the pool worker (before
-// its wg.Done fires, so the barrier never deadlocks) and recorded.
-func (e *Engine) dispatch(phase func(pid int), rec *panicBox) {
-	var wg sync.WaitGroup
-	wg.Add(e.opts.QueryWorkers)
-	for i := 0; i < e.opts.QueryWorkers; i++ {
-		e.tasks <- func(pid int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					rec.note(e.panicErr(r))
-				}
-			}()
-			if err := fpUnit.Hit(); err != nil {
-				rec.note(err)
-				return
-			}
-			phase(pid)
 		}
 	}
 	wg.Wait()

@@ -7,8 +7,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/dtw"
 	"repro/internal/series"
 	"repro/internal/shard"
+	"repro/internal/stats"
 )
 
 const (
@@ -43,6 +45,28 @@ func testIndex(t *testing.T) (*core.Index, *series.Collection) {
 	return testIx, testQs
 }
 
+// search answers an exact 1-NN query through Do.
+func search(e *Engine, q []float32) (core.Match, error) {
+	res, err := e.Do(core.Request{Query: q})
+	if err != nil {
+		return core.Match{}, err
+	}
+	return res.Matches[0], nil
+}
+
+// searchKNN answers an exact k-NN query through Do.
+func searchKNN(e *Engine, q []float32, k int) ([]core.Match, error) {
+	res, err := e.Do(core.Request{Query: q, K: k})
+	return res.Matches, err
+}
+
+// spawn answers a request in the per-query spawn mode over the bare
+// index — the reference every pooled answer must match.
+func spawn(ix *core.Index, req core.Request) ([]core.Match, error) {
+	res, err := shard.Wrap(ix).Do(req, core.SearchOptions{})
+	return res.Matches, err
+}
+
 // TestSearchMatchesCore: the pooled engine must return exactly the answer
 // of the per-query-spawn core search on the same inputs.
 func TestSearchMatchesCore(t *testing.T) {
@@ -55,7 +79,7 @@ func TestSearchMatchesCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Search(q)
+		got, err := search(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +97,11 @@ func TestSearchKNNMatchesCore(t *testing.T) {
 	for _, k := range []int{1, 5, 20} {
 		for i := 0; i < 4; i++ {
 			q := qs.At(i)
-			want, err := ix.SearchKNN(q, k, core.SearchOptions{})
+			want, err := spawn(ix, core.Request{Query: q, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.SearchKNN(q, k)
+			got, err := searchKNN(e, q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +146,7 @@ func TestConcurrentQueriers(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % qs.Count()
-				got, err := e.Search(qs.At(i))
+				got, err := search(e, qs.At(i))
 				if err != nil {
 					errc <- err
 					return
@@ -176,15 +200,15 @@ func TestSearchBatch(t *testing.T) {
 func TestClose(t *testing.T) {
 	ix, qs := testIndex(t)
 	e := New(ix, Options{PoolWorkers: 4})
-	if _, err := e.Search(qs.At(0)); err != nil {
+	if _, err := search(e, qs.At(0)); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close()
-	if _, err := e.Search(qs.At(0)); !errors.Is(err, ErrClosed) {
+	if _, err := search(e, qs.At(0)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Search after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := e.SearchKNN(qs.At(0), 3); !errors.Is(err, ErrClosed) {
+	if _, err := searchKNN(e, qs.At(0), 3); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SearchKNN after Close: err = %v, want ErrClosed", err)
 	}
 }
@@ -244,18 +268,18 @@ func TestShardedEngineMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Search(q)
+		got, err := search(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("query %d: sharded engine %+v, core %+v", i, got, want)
 		}
-		wantK, err := ix.SearchKNN(q, 5, core.SearchOptions{})
+		wantK, err := spawn(ix, core.Request{Query: q, K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotK, err := e.SearchKNN(q, 5)
+		gotK, err := searchKNN(e, q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +315,7 @@ func TestSwapShardedGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Search(q)
+	got, err := search(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,4 +338,32 @@ func testData(t *testing.T) *series.Collection {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestTracedDTWReportsPhases: DTW queries run the pooled phases, so a
+// traced DTW request attributes time to the tree pass, the queue
+// insertions and the distance calculations (Figure 13), not only init.
+func TestTracedDTWReportsPhases(t *testing.T) {
+	ix, qs := testIndex(t)
+	for _, S := range []int{1, 2} {
+		sx := shard.Wrap(ix)
+		if S > 1 {
+			var err error
+			if sx, err = shard.Build(ix.Data, S, ix.Opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := NewSharded(sx, Options{PoolWorkers: 4})
+		bd := &stats.Breakdown{}
+		if _, err := e.Do(core.Request{Query: qs.At(0), DTW: true,
+			Window: dtw.WindowSize(testLength, 0.1), Breakdown: bd}); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		for _, p := range []stats.Phase{stats.PhaseInit, stats.PhaseTreePass, stats.PhasePQInsert, stats.PhaseDistCalc} {
+			if bd.Get(p) <= 0 {
+				t.Errorf("S=%d: traced DTW query reports no %v time", S, p)
+			}
+		}
+	}
 }

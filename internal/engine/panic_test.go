@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dtw"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/shard"
@@ -16,18 +17,28 @@ import (
 // every concurrent query on the same engine completes with the exact
 // answer, and the pool keeps serving afterwards. The panic is injected
 // through the engine.unit failpoint (one-shot, so exactly one query is
-// poisoned regardless of scheduling).
+// poisoned regardless of scheduling). DTW queries run as pool units
+// too, so a panic inside their leaf scan (core.scanleaf) is isolated the
+// same way.
 func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 	ix, qs := testIndex(t)
+	euclid := func(q []float32) core.Request { return core.Request{Query: q} }
 	for _, tc := range []struct {
-		name string
-		mk   func(reg *metrics.Registry) *Engine
+		name  string
+		mk    func(reg *metrics.Registry) *Engine
+		point string
+		req   func(q []float32) core.Request
 	}{
 		{"single", func(reg *metrics.Registry) *Engine {
 			return New(ix, Options{PoolWorkers: 8, Metrics: reg})
-		}},
+		}, "engine.unit", euclid},
 		{"sharded", func(reg *metrics.Registry) *Engine {
 			return NewSharded(shard.Wrap(ix), Options{PoolWorkers: 8, Metrics: reg})
+		}, "engine.unit", euclid},
+		{"dtw", func(reg *metrics.Registry) *Engine {
+			return New(ix, Options{PoolWorkers: 8, Metrics: reg})
+		}, "core.scanleaf", func(q []float32) core.Request {
+			return core.Request{Query: q, DTW: true, Window: dtw.WindowSize(testLength, 0.1)}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,16 +47,23 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 			e := tc.mk(reg)
 			defer e.Close()
 
+			do := func(q []float32) (core.Match, error) {
+				res, err := e.Do(tc.req(q))
+				if err != nil {
+					return core.Match{}, err
+				}
+				return res.Matches[0], nil
+			}
 			want := make([]core.Match, qs.Count())
 			for i := range want {
-				m, err := ix.Search(qs.At(i), core.SearchOptions{})
+				ms, err := spawn(ix, tc.req(qs.At(i)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[i] = m
+				want[i] = ms[0]
 			}
 
-			if err := fault.Arm("engine.unit", fault.Spec{Action: fault.Panic}); err != nil {
+			if err := fault.Arm(tc.point, fault.Spec{Action: fault.Panic}); err != nil {
 				t.Fatal(err)
 			}
 			var (
@@ -59,7 +77,7 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					got, err := e.Search(qs.At(i))
+					got, err := do(qs.At(i))
 					mu.Lock()
 					defer mu.Unlock()
 					if err != nil {
@@ -95,7 +113,7 @@ func TestWorkerPanicFailsOnlyThatQuery(t *testing.T) {
 
 			// The pool survived: the same engine keeps answering exactly.
 			for i := 0; i < qs.Count(); i++ {
-				got, err := e.Search(qs.At(i))
+				got, err := do(qs.At(i))
 				if err != nil {
 					t.Fatalf("query %d after panic: %v", i, err)
 				}
@@ -118,7 +136,7 @@ func TestScanLeafPanicIsolated(t *testing.T) {
 	if err := fault.Arm("core.scanleaf", fault.Spec{Action: fault.Error}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Search(qs.At(0)); !errors.Is(err, ErrQueryPanicked) {
+	if _, err := search(e, qs.At(0)); !errors.Is(err, ErrQueryPanicked) {
 		t.Fatalf("err = %v, want ErrQueryPanicked", err)
 	} else if !errors.Is(err, fault.ErrInjected) {
 		// scanLeaf panics with the injected error value, and panicErr
@@ -130,7 +148,7 @@ func TestScanLeafPanicIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Search(qs.At(1))
+	got, err := search(e, qs.At(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +166,10 @@ func TestKNNWorkerPanic(t *testing.T) {
 	if err := fault.Arm("engine.unit", fault.Spec{Action: fault.Panic}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SearchKNN(qs.At(0), 5); !errors.Is(err, ErrQueryPanicked) {
+	if _, err := searchKNN(e, qs.At(0), 5); !errors.Is(err, ErrQueryPanicked) {
 		t.Fatalf("err = %v, want ErrQueryPanicked", err)
 	}
-	ms, err := e.SearchKNN(qs.At(0), 5)
+	ms, err := searchKNN(e, qs.At(0), 5)
 	if err != nil {
 		t.Fatalf("k-NN after panic: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/shard"
 	"repro/internal/stats"
 )
 
@@ -338,9 +339,11 @@ func Fig19(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		sx := shard.Wrap(ix)
 		start := time.Now()
 		for qi := 0; qi < queries.Count(); qi++ {
-			if _, err := ix.SearchDTW(queries.At(qi), window, core.SearchOptions{}); err != nil {
+			req := core.Request{Query: queries.At(qi), DTW: true, Window: window}
+			if _, err := sx.Do(req, core.SearchOptions{}); err != nil {
 				return nil, err
 			}
 		}

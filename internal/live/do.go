@@ -1,11 +1,6 @@
 package live
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/dtw"
-)
+import "repro/internal/core"
 
 // Do serves one quality-of-service request over the union of the immutable
 // generation and the delta. The delta is always scanned exactly — it is
@@ -21,18 +16,7 @@ func (ix *Index) Do(req core.Request) (core.Result, error) {
 	if err := ix.validateQuery(req.Query); err != nil {
 		return core.Result{}, err
 	}
-	k := req.K
-	if k <= 0 {
-		k = 1
-	}
-	if req.DTW {
-		if k > 1 {
-			return core.Result{}, fmt.Errorf("live: k-NN under DTW is not supported (k=%d)", k)
-		}
-		if err := dtw.CheckWindow(ix.seriesLen, req.Window); err != nil {
-			return core.Result{}, fmt.Errorf("%w: %w", core.ErrBadWindow, err)
-		}
-	}
+	k := max(req.K, 1)
 
 	v := ix.view.Load()
 	var seeds []core.Match
@@ -60,6 +44,6 @@ func (ix *Index) Do(req core.Request) (core.Result, error) {
 	}
 	// The engine generation may be one rebuild ahead of v — safe, the
 	// frozen series exist in both at the same positions and the bounds
-	// dedupe by position (same reasoning as the deprecated paths).
+	// dedupe by position.
 	return ix.eng.DoSeeded(req, seeds)
 }

@@ -711,74 +711,6 @@ func (ix *Index) validateQuery(query []float32) error {
 	return nil
 }
 
-// Search answers an exact 1-NN query under Euclidean distance over the
-// union of the immutable generation and the delta.
-func (ix *Index) Search(query []float32) (core.Match, error) {
-	if err := ix.validateQuery(query); err != nil {
-		return core.Match{}, err
-	}
-	v := ix.view.Load()
-	seeds, err := ix.delta1NN(v, query, nil)
-	if err != nil {
-		return core.Match{}, err
-	}
-	if v.base == nil {
-		if len(seeds) == 0 {
-			return core.Match{}, ErrEmpty
-		}
-		return seeds[0], nil
-	}
-	return ix.eng.SearchSeeded(query, seeds)
-}
-
-// SearchKNN answers an exact k-NN query over the union of generation and
-// delta, returning up to k matches in ascending distance order.
-func (ix *Index) SearchKNN(query []float32, k int) ([]core.Match, error) {
-	if err := ix.validateQuery(query); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("%w, got %d", core.ErrBadK, k)
-	}
-	v := ix.view.Load()
-	seeds, err := ix.deltaKNN(v, query, k, nil)
-	if err != nil {
-		return nil, err
-	}
-	if v.base == nil {
-		if len(seeds) == 0 {
-			return nil, ErrEmpty
-		}
-		return seeds, nil
-	}
-	return ix.eng.SearchKNNSeeded(query, k, seeds)
-}
-
-// SearchDTW answers an exact 1-NN query under constrained DTW with a
-// Sakoe-Chiba band of the given radius (points) over the union of
-// generation and delta.
-func (ix *Index) SearchDTW(query []float32, window int) (core.Match, error) {
-	if err := ix.validateQuery(query); err != nil {
-		return core.Match{}, err
-	}
-	v := ix.view.Load()
-	seeds, err := ix.deltaDTW(v, query, window, nil)
-	if err != nil {
-		return core.Match{}, err
-	}
-	if v.base == nil {
-		if len(seeds) == 0 {
-			return core.Match{}, ErrEmpty
-		}
-		return seeds[0], nil
-	}
-	// Through the engine for its admission gate (DTW spawns per-query
-	// workers; unbounded concurrent spawns would starve the pool). The
-	// engine generation may be one rebuild ahead of v — safe, the frozen
-	// series exist in both at the same positions.
-	return ix.eng.SearchDTW(query, window, seeds)
-}
-
 // forEachDeltaChunk runs fn over every contiguous chunk of the view's
 // delta (frozen snapshot first, then a fresh snapshot of the active
 // buffer), passing each chunk's global start position.

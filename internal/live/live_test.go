@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dtw"
 	"repro/internal/series"
+	"repro/internal/shard"
 )
 
 // walk generates n random-walk series of the given length.
@@ -57,6 +58,37 @@ func freshIndex(t *testing.T, rows [][]float32) *core.Index {
 	return ix
 }
 
+// search answers an exact 1-NN query through Do.
+func search(ix *Index, q []float32) (core.Match, error) {
+	res, err := ix.Do(core.Request{Query: q})
+	if err != nil {
+		return core.Match{}, err
+	}
+	return res.Matches[0], nil
+}
+
+// searchKNN answers an exact k-NN query through Do.
+func searchKNN(ix *Index, q []float32, k int) ([]core.Match, error) {
+	res, err := ix.Do(core.Request{Query: q, K: k})
+	return res.Matches, err
+}
+
+// searchDTW answers an exact DTW 1-NN query through Do.
+func searchDTW(ix *Index, q []float32, window int) (core.Match, error) {
+	res, err := ix.Do(core.Request{Query: q, DTW: true, Window: window})
+	if err != nil {
+		return core.Match{}, err
+	}
+	return res.Matches[0], nil
+}
+
+// oracleDo answers a request on a fresh core index in the per-query spawn
+// mode.
+func oracleDo(ix *core.Index, req core.Request) ([]core.Match, error) {
+	res, err := shard.Wrap(ix).Do(req, core.SearchOptions{})
+	return res.Matches, err
+}
+
 // TestEquivalenceAcrossLifecycle: live answers must equal a from-scratch
 // build over the union of the data at every stage — delta-only, mixed
 // base+delta, and post-flush.
@@ -74,7 +106,7 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 			t.Fatalf("live Len = %d, want %d", ix.Len(), len(rows))
 		}
 		for qi, q := range queries {
-			got, err := ix.Search(q)
+			got, err := search(ix, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,11 +118,11 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 				t.Fatalf("query %d: live 1-NN dist %v (pos %d), fresh %v (pos %d)",
 					qi, got.Dist, got.Position, want.Dist, want.Position)
 			}
-			gotK, err := ix.SearchKNN(q, 5)
+			gotK, err := searchKNN(ix, q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantK, err := oracle.SearchKNN(q, 5, core.SearchOptions{})
+			wantK, err := oracleDo(oracle, core.Request{Query: q, K: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,15 +134,15 @@ func TestEquivalenceAcrossLifecycle(t *testing.T) {
 					t.Fatalf("query %d k-NN rank %d: live dist %v, fresh %v", qi, i, gotK[i].Dist, wantK[i].Dist)
 				}
 			}
-			gotD, err := ix.SearchDTW(q, window)
+			gotD, err := searchDTW(ix, q, window)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantD, err := oracle.SearchDTW(q, window, core.SearchOptions{})
+			wantDs, err := oracleDo(oracle, core.Request{Query: q, DTW: true, Window: window})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotD.Dist != wantD.Dist {
+			if wantD := wantDs[0]; gotD.Dist != wantD.Dist {
 				t.Fatalf("query %d: live DTW dist %v, fresh %v", qi, gotD.Dist, wantD.Dist)
 			}
 		}
@@ -198,7 +230,7 @@ func TestEmptyStart(t *testing.T) {
 	}
 	defer ix.Close()
 
-	if _, err := ix.Search(make([]float32, length)); !errors.Is(err, ErrEmpty) {
+	if _, err := search(ix, make([]float32, length)); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("empty search error = %v, want ErrEmpty", err)
 	}
 	rows := walk(50, length, 3)
@@ -206,7 +238,7 @@ func TestEmptyStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := rows[17]
-	m, err := ix.Search(q)
+	m, err := search(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +254,7 @@ func TestEmptyStart(t *testing.T) {
 	if ix.Generation() != 1 {
 		t.Fatalf("generation = %d after flush, want 1", ix.Generation())
 	}
-	m, err = ix.Search(q)
+	m, err = search(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +328,7 @@ func TestConcurrentAppendSearchDuringRebuild(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				q := initial[(s*61+i*7)%len(initial)]
-				m, err := ix.Search(q)
+				m, err := search(ix, q)
 				if err != nil {
 					t.Error(err)
 					return
@@ -305,7 +337,7 @@ func TestConcurrentAppendSearchDuringRebuild(t *testing.T) {
 					t.Errorf("self-query dist %v, want 0", m.Dist)
 					return
 				}
-				if _, err := ix.SearchKNN(q, 3); err != nil {
+				if _, err := searchKNN(ix, q, 3); err != nil {
 					t.Error(err)
 					return
 				}
@@ -328,7 +360,7 @@ func TestConcurrentAppendSearchDuringRebuild(t *testing.T) {
 	}
 	// Every appended series must now be in the generation and findable.
 	for i := 0; i < len(extra); i += 37 {
-		m, err := ix.Search(extra[i])
+		m, err := search(ix, extra[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,11 +401,11 @@ func TestValidation(t *testing.T) {
 	if _, err := ix.Append(make([]float32, 5)); err == nil {
 		t.Error("short append accepted")
 	}
-	if _, err := ix.Search(make([]float32, 5)); err == nil {
+	if _, err := search(ix, make([]float32, 5)); err == nil {
 		t.Error("short query accepted")
 	}
-	if _, err := ix.SearchKNN(make([]float32, length), 0); err == nil {
-		t.Error("k=0 accepted")
+	if _, err := searchKNN(ix, make([]float32, length), -1); err == nil {
+		t.Error("negative k accepted")
 	}
 	if _, err := ix.Series(-1); err == nil {
 		t.Error("negative position accepted")
@@ -404,7 +436,7 @@ func TestKNNSpansBaseAndDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := base[0]
-	ms, err := ix.SearchKNN(q, 13)
+	ms, err := searchKNN(ix, q, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +476,7 @@ func TestShardedLifecycle(t *testing.T) {
 		t.Helper()
 		oracle := freshIndex(t, rows)
 		for qi, q := range queries {
-			got, err := ix.Search(q)
+			got, err := search(ix, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -455,11 +487,11 @@ func TestShardedLifecycle(t *testing.T) {
 			if got != want {
 				t.Fatalf("query %d: sharded live %+v, fresh %+v", qi, got, want)
 			}
-			gotK, err := ix.SearchKNN(q, 5)
+			gotK, err := searchKNN(ix, q, 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantK, err := oracle.SearchKNN(q, 5, core.SearchOptions{})
+			wantK, err := oracleDo(oracle, core.Request{Query: q, K: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -471,15 +503,15 @@ func TestShardedLifecycle(t *testing.T) {
 					t.Fatalf("query %d rank %d: sharded live %+v, fresh %+v", qi, i, gotK[i], wantK[i])
 				}
 			}
-			gotD, err := ix.SearchDTW(q, window)
+			gotD, err := searchDTW(ix, q, window)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantD, err := oracle.SearchDTW(q, window, core.SearchOptions{})
+			wantDs, err := oracleDo(oracle, core.Request{Query: q, DTW: true, Window: window})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotD != wantD {
+			if wantD := wantDs[0]; gotD != wantD {
 				t.Fatalf("query %d: sharded live DTW %+v, fresh %+v", qi, gotD, wantD)
 			}
 		}

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/shard"
 )
 
 // buildIndex constructs a small index over deterministic data.
@@ -462,16 +463,16 @@ func searchAnswers(t testing.TB, ix *core.Index) []core.Match {
 			t.Fatal(err)
 		}
 		out = append(out, m)
-		ms, err := ix.SearchKNN(q, 3, core.SearchOptions{Workers: 4, Queues: 2})
-		if err != nil {
-			t.Fatal(err)
+		for _, req := range []core.Request{
+			{Query: q, K: 3},
+			{Query: q, DTW: true, Window: 2},
+		} {
+			res, err := shard.Wrap(ix).Do(req, core.SearchOptions{Workers: 4, Queues: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res.Matches...)
 		}
-		out = append(out, ms...)
-		d, err := ix.SearchDTW(q, 2, core.SearchOptions{Workers: 4, Queues: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, d)
 	}
 	return out
 }

@@ -1,121 +1,62 @@
 package shard
 
 import (
-	"fmt"
-
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
-// ApproxKNN fans the approximate k-NN search out across the shards and
-// merges the per-shard sets — the k-NN form of ApproxSearch.
-func (x *Index) ApproxKNN(query []float32, k int, opt core.SearchOptions) ([]core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.ApproxKNN(query, k, opt)
-	}
-	S := len(x.shards)
-	perShard := make([][]core.Match, S)
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		o := opt
-		o.GlobalPos = globalPos(s, S)
-		ms, err := sh.ApproxKNN(query, k, o)
-		perShard[s] = ms
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return MergeKNN(perShard, k), nil
-}
-
-// ApproxDTW fans the approximate DTW search out across the shards and
-// returns the best per-shard answer — the DTW form of ApproxSearch.
-func (x *Index) ApproxDTW(query []float32, window int, opt core.SearchOptions) (core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.ApproxDTW(query, window, opt)
-	}
-	best := make([]core.Match, len(x.shards))
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		o := opt
-		o.GlobalPos = globalPos(s, len(x.shards))
-		m, err := sh.ApproxDTW(query, window, o)
-		best[s] = m
-		return err
-	})
-	if err != nil {
-		return core.Match{}, err
-	}
-	out := core.Match{Position: -1}
-	for s, sh := range x.shards {
-		if sh == nil {
-			continue
-		}
-		if out.Position < 0 || best[s].Dist < out.Dist {
-			out = best[s]
-		}
-	}
-	return out, nil
-}
-
-// Do serves one quality-of-service request on this index: the single entry
-// point behind which exact, approximate, ε-bounded, and deadline-bounded
-// answers share the same machinery. The request's QoS state (built here)
-// is threaded through every shard of the fan-out via the options struct,
-// exactly like the shared best-so-far, so ε-pruning witnesses and stop
-// checks act globally. Matches carry squared distances (like Match).
+// Do serves one request in the paper's per-query spawn mode: one
+// core.SearchRun per non-empty shard, each running its own workers, all
+// concurrently. 1-NN runs thread one shared best-so-far through every
+// shard, so a tight bound found in one shard prunes all the others; k-NN
+// runs keep private top-k sets, merged afterwards (MergeKNN). The
+// request's QoS state is threaded through every run the same way, so
+// ε-pruning witnesses and stop checks act globally. Matches carry squared
+// distances and global positions.
 func (x *Index) Do(req core.Request, opt core.SearchOptions) (core.Result, error) {
 	if err := req.Validate(); err != nil {
 		return core.Result{}, err
 	}
-	k := req.K
-	if k <= 0 {
-		k = 1
-	}
-	if req.DTW && k > 1 {
-		return core.Result{}, fmt.Errorf("shard: k-NN under DTW is not supported (k=%d)", k)
-	}
-	if req.Counters != nil {
-		opt.Counters = req.Counters
-	}
-	if req.Breakdown != nil {
-		opt.Breakdown = req.Breakdown
-	}
 	qos := req.NewQoS()
 	opt.QoS = qos
-
-	var matches []core.Match
-	var err error
-	if req.Mode == core.ModeApprox {
-		switch {
-		case req.DTW:
-			var m core.Match
-			m, err = x.ApproxDTW(req.Query, req.Window, opt)
-			matches = []core.Match{m}
-		case k > 1:
-			matches, err = x.ApproxKNN(req.Query, k, opt)
-		default:
-			var m core.Match
-			m, err = x.ApproxSearch(req.Query, opt)
-			matches = []core.Match{m}
+	if single := x.Single(); single != nil {
+		run, err := single.NewRun(req, nil, opt)
+		if err != nil {
+			return core.Result{}, err
 		}
-	} else {
-		// Exact, ε-bounded, and deadline-bounded answers all run the exact
-		// algorithm; the QoS state (nil for plain exact) adjusts pruning
-		// and stopping.
-		switch {
-		case req.DTW:
-			var m core.Match
-			m, err = x.SearchDTW(req.Query, req.Window, opt)
-			matches = []core.Match{m}
-		case k > 1:
-			matches, err = x.SearchKNN(req.Query, k, opt)
-		default:
-			var m core.Match
-			m, err = x.Search(req.Query, opt)
-			matches = []core.Match{m}
+		if err := run.Run(); err != nil {
+			return core.Result{}, err
 		}
+		return qos.Finish(run.Matches(), req.Mode), nil
 	}
+
+	// Divide the worker budget across shards, so the fan-out spawns the
+	// same total parallelism as one unsharded search. Seeds go to every
+	// run: the k-NN sets each need them, and re-offering them to the
+	// shared BSF is a no-op.
+	S := len(x.shards)
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = x.opts.SearchWorkers
+	}
+	opt.Workers = (workers + S - 1) / S
+	opt.Shared = stats.NewBSF() // ignored by k-NN runs
+	perShard := make([][]core.Match, S)
+	err := x.forEachShard(func(s int, sh *core.Index) error {
+		o := opt
+		o.GlobalPos = globalPos(s, S)
+		run, err := sh.NewRun(req, nil, o)
+		if err != nil {
+			return err
+		}
+		if err := run.Run(); err != nil {
+			return err
+		}
+		perShard[s] = run.Matches()
+		return nil
+	})
 	if err != nil {
 		return core.Result{}, err
 	}
-	return qos.Finish(matches, req.Mode), nil
+	return qos.Finish(MergeKNN(perShard, max(req.K, 1)), req.Mode), nil
 }

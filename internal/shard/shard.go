@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pqueue"
 	"repro/internal/series"
-	"repro/internal/stats"
 	"repro/internal/tree"
 )
 
@@ -286,26 +285,9 @@ func (x *Index) ShardStats() []tree.Stats {
 	return out
 }
 
-// fanOpt derives shard s's search options from the caller's: the shared
-// bound and position mapping are installed, seeds are stripped (the
-// caller applies them to the shared bound once), and the worker budget is
-// divided across shards so the fan-out spawns the same total parallelism
-// as one unsharded search.
-func (x *Index) fanOpt(opt core.SearchOptions, s int, shared *stats.BSF) core.SearchOptions {
-	S := len(x.shards)
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = x.opts.SearchWorkers
-	}
-	opt.Workers = (workers + S - 1) / S
-	opt.Shared = shared
-	opt.GlobalPos = globalPos(s, S)
-	opt.Seeds = nil
-	return opt
-}
-
 // forEachShard runs fn concurrently over every non-empty shard and
-// returns the first error.
+// returns the first error. A panic in fn fails that shard's call with an
+// error wrapping core.ErrQueryPanicked instead of killing the process.
 func (x *Index) forEachShard(fn func(s int, sh *core.Index) error) error {
 	errs := make([]error, len(x.shards))
 	var wg sync.WaitGroup
@@ -316,6 +298,11 @@ func (x *Index) forEachShard(fn func(s int, sh *core.Index) error) error {
 		wg.Add(1)
 		go func(s int, sh *core.Index) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[s] = core.PanicError(r)
+				}
+			}()
 			errs[s] = fn(s, sh)
 		}(s, sh)
 	}
@@ -326,83 +313,6 @@ func (x *Index) forEachShard(fn func(s int, sh *core.Index) error) error {
 		}
 	}
 	return nil
-}
-
-// Search answers an exact 1-NN query by fanning out across the shards
-// with one shared best-so-far. Answers are identical to a single index
-// over the whole collection; positions are global.
-func (x *Index) Search(query []float32, opt core.SearchOptions) (core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.Search(query, opt)
-	}
-	shared := stats.NewBSF()
-	for _, s := range opt.Seeds {
-		shared.Update(s.Dist, int64(s.Position))
-	}
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		_, err := sh.Search(query, x.fanOpt(opt, s, shared))
-		return err
-	})
-	if err != nil {
-		return core.Match{}, err
-	}
-	d, pos := shared.Best()
-	return core.Match{Position: int(pos), Dist: d}, nil
-}
-
-// ApproxSearch fans the approximate search out across the shards and
-// returns the best of the per-shard approximate answers. Like the
-// unsharded version, its distance is an upper bound on the exact one.
-func (x *Index) ApproxSearch(query []float32, opt core.SearchOptions) (core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.ApproxSearch(query, opt)
-	}
-	best := make([]core.Match, len(x.shards))
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		o := opt
-		o.GlobalPos = globalPos(s, len(x.shards))
-		m, err := sh.ApproxSearch(query, o)
-		best[s] = m
-		return err
-	})
-	if err != nil {
-		return core.Match{}, err
-	}
-	out := core.Match{Position: -1}
-	for s, sh := range x.shards {
-		if sh == nil {
-			continue
-		}
-		if out.Position < 0 || best[s].Dist < out.Dist {
-			out = best[s]
-		}
-	}
-	return out, nil
-}
-
-// SearchKNN answers an exact k-NN query: every shard computes its own
-// top-k concurrently (each seeded with the caller's seeds, so delta
-// matches prune everywhere) and the per-shard sets are merged through a
-// priority queue. The result is at most k matches in ascending distance
-// order, ties broken by (global) position — the same contract as the
-// unsharded search.
-func (x *Index) SearchKNN(query []float32, k int, opt core.SearchOptions) ([]core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.SearchKNN(query, k, opt)
-	}
-	S := len(x.shards)
-	perShard := make([][]core.Match, S)
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		o := x.fanOpt(opt, s, nil)
-		o.Seeds = opt.Seeds // global positions participate in every shard's set
-		ms, err := sh.SearchKNN(query, k, o)
-		perShard[s] = ms
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return MergeKNN(perShard, k), nil
 }
 
 // MergeKNN merges per-shard k-NN result lists into the global top k
@@ -442,26 +352,4 @@ func MergeKNN(lists [][]core.Match, k int) []core.Match {
 		return out[i].Position < out[j].Position
 	})
 	return out
-}
-
-// SearchDTW answers an exact 1-NN query under constrained DTW with a
-// Sakoe-Chiba band of the given radius (points), fanning out across the
-// shards with one shared best-so-far.
-func (x *Index) SearchDTW(query []float32, window int, opt core.SearchOptions) (core.Match, error) {
-	if single := x.Single(); single != nil {
-		return single.SearchDTW(query, window, opt)
-	}
-	shared := stats.NewBSF()
-	for _, s := range opt.Seeds {
-		shared.Update(s.Dist, int64(s.Position))
-	}
-	err := x.forEachShard(func(s int, sh *core.Index) error {
-		_, err := sh.SearchDTW(query, window, x.fanOpt(opt, s, shared))
-		return err
-	})
-	if err != nil {
-		return core.Match{}, err
-	}
-	d, pos := shared.Best()
-	return core.Match{Position: int(pos), Dist: d}, nil
 }

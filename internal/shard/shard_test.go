@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dtw"
+	"repro/internal/fault"
 	"repro/internal/series"
 )
 
@@ -32,6 +34,21 @@ func testQueries(t testing.TB, n int) *series.Collection {
 		t.Fatal(err)
 	}
 	return col
+}
+
+// search answers one request through Do.
+func search(x *Index, req core.Request, opt core.SearchOptions) ([]core.Match, error) {
+	res, err := x.Do(req, opt)
+	return res.Matches, err
+}
+
+// search1 answers one 1-NN request through Do.
+func search1(x *Index, req core.Request, opt core.SearchOptions) (core.Match, error) {
+	ms, err := search(x, req, opt)
+	if err != nil {
+		return core.Match{}, err
+	}
+	return ms[0], nil
 }
 
 func testOpts() core.Options {
@@ -61,11 +78,11 @@ func TestEquivalence(t *testing.T) {
 		for qi := 0; qi < queries.Count(); qi++ {
 			q := queries.At(qi)
 
-			want, err := single.Search(q, core.SearchOptions{})
+			want, err := search1(single, core.Request{Query: q}, core.SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sharded.Search(q, core.SearchOptions{})
+			got, err := search1(sharded, core.Request{Query: q}, core.SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,11 +90,11 @@ func TestEquivalence(t *testing.T) {
 				t.Fatalf("S=%d query %d: 1-NN %+v, single-shard %+v", S, qi, got, want)
 			}
 
-			wantK, err := single.SearchKNN(q, 10, core.SearchOptions{})
+			wantK, err := search(single, core.Request{Query: q, K: 10}, core.SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotK, err := sharded.SearchKNN(q, 10, core.SearchOptions{})
+			gotK, err := search(sharded, core.Request{Query: q, K: 10}, core.SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,11 +107,11 @@ func TestEquivalence(t *testing.T) {
 				}
 			}
 
-			wantD, err := single.SearchDTW(q, window, core.SearchOptions{})
+			wantD, err := search1(single, core.Request{Query: q, DTW: true, Window: window}, core.SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotD, err := sharded.SearchDTW(q, window, core.SearchOptions{})
+			gotD, err := search1(sharded, core.Request{Query: q, DTW: true, Window: window}, core.SearchOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,21 +134,21 @@ func TestSeeds(t *testing.T) {
 	q := queries.At(0)
 	// A seed better than anything indexed must win all three searches.
 	seed := []core.Match{{Position: 999_999, Dist: 0}}
-	m, err := sharded.Search(q, core.SearchOptions{Seeds: seed})
+	m, err := search1(sharded, core.Request{Query: q}, core.SearchOptions{Seeds: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Position != 999_999 || m.Dist != 0 {
 		t.Fatalf("winning seed not returned by 1-NN: %+v", m)
 	}
-	md, err := sharded.SearchDTW(q, dtw.WindowSize(testLength, 0.1), core.SearchOptions{Seeds: seed})
+	md, err := search1(sharded, core.Request{Query: q, DTW: true, Window: dtw.WindowSize(testLength, 0.1)}, core.SearchOptions{Seeds: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if md.Position != 999_999 {
 		t.Fatalf("winning seed not returned by DTW: %+v", md)
 	}
-	ms, err := sharded.SearchKNN(q, 3, core.SearchOptions{Seeds: seed})
+	ms, err := search(sharded, core.Request{Query: q, K: 3}, core.SearchOptions{Seeds: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +200,14 @@ func TestFewerSeriesThanShards(t *testing.T) {
 	}
 	q := make([]float32, testLength)
 	copy(q, data.At(2))
-	m, err := x.Search(q, core.SearchOptions{})
+	m, err := search1(x, core.Request{Query: q}, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Position != 2 || m.Dist != 0 {
 		t.Fatalf("self-query answered %+v", m)
 	}
-	ms, err := x.SearchKNN(q, 10, core.SearchOptions{})
+	ms, err := search(x, core.Request{Query: q, K: 10}, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,22 +263,55 @@ func TestApproxSearch(t *testing.T) {
 	}
 	q := make([]float32, testLength)
 	copy(q, data.At(123))
-	m, err := x.ApproxSearch(q, core.SearchOptions{})
+	m, err := search1(x, core.Request{Query: q, Mode: core.ModeApprox}, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Dist != 0 || m.Position != 123 {
 		t.Fatalf("approx self-query answered %+v", m)
 	}
-	exact, err := x.Search(data.At(7), core.SearchOptions{})
+	exact, err := search1(x, core.Request{Query: data.At(7)}, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := x.ApproxSearch(data.At(7), core.SearchOptions{})
+	approx, err := search1(x, core.Request{Query: data.At(7), Mode: core.ModeApprox}, core.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if approx.Dist < exact.Dist || math.IsInf(approx.Dist, 1) {
 		t.Fatalf("approx distance %v not an upper bound of exact %v", approx.Dist, exact.Dist)
+	}
+}
+
+// TestQueryPanicFailsOnlyThatQuery: a panic on a spawned search worker —
+// inside a shard fan-out or a single tree — fails that query with
+// core.ErrQueryPanicked instead of the process, and the next query is
+// answered exactly.
+func TestQueryPanicFailsOnlyThatQuery(t *testing.T) {
+	data := testData(t, testSeries)
+	q := testQueries(t, 1).At(0)
+	for _, S := range []int{1, 2} {
+		x, err := Build(data, S, testOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, req := range []core.Request{
+			{Query: q},
+			{Query: q, K: 5},
+			{Query: q, DTW: true, Window: dtw.WindowSize(testLength, 0.1)},
+		} {
+			t.Cleanup(fault.DisarmAll)
+			if err := fault.Arm("core.scanleaf", fault.Spec{Action: fault.Panic}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := x.Do(req, core.SearchOptions{}); !errors.Is(err, core.ErrQueryPanicked) {
+				t.Fatalf("S=%d %+v: err = %v, want core.ErrQueryPanicked", S, req, err)
+			}
+			fault.DisarmAll()
+			res, err := x.Do(req, core.SearchOptions{})
+			if err != nil || !res.Exact || len(res.Matches) == 0 {
+				t.Fatalf("S=%d: query after the panic: %+v, %v", S, res, err)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package messi
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -76,7 +75,7 @@ func (o *LiveOptions) toLive(coreOpts core.Options, shards int) live.Options {
 //
 //	ix, _ := messi.NewLive(256, nil, nil)          // start empty
 //	pos, _ := ix.Append(mySeries)                  // searchable immediately
-//	m, _ := ix.Search(query)
+//	res, _ := ix.Do(ctx, messi.SearchRequest{Query: query})
 //	ix.Close()
 //
 // A LiveIndex is safe for concurrent use; Close it when done.
@@ -193,47 +192,6 @@ func (ix *LiveIndex) AppendBatch(rows [][]float32) (int, error) {
 		rows = normalized
 	}
 	return ix.inner.AppendBatch(rows)
-}
-
-// Search answers an exact 1-NN query under Euclidean distance over all
-// appended and indexed series.
-//
-// Deprecated: use Do with a SearchRequest (the zero Mode is exact 1-NN).
-func (ix *LiveIndex) Search(query []float32) (Match, error) {
-	res, err := ix.Do(context.Background(), SearchRequest{Query: query})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Best(), nil
-}
-
-// SearchKNN answers an exact k-NN query, returning up to k matches in
-// ascending distance order.
-//
-// Deprecated: use Do with K set.
-func (ix *LiveIndex) SearchKNN(query []float32, k int) ([]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w, got %d", ErrBadK, k)
-	}
-	res, err := ix.Do(context.Background(), SearchRequest{Query: query, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
-}
-
-// SearchDTW answers an exact 1-NN query under constrained DTW with a
-// Sakoe-Chiba warping window given as a fraction of the series length
-// (0.1 = the 10% window the paper uses). Fractions outside [0,1] are an
-// error, not a silent clamp.
-//
-// Deprecated: use Do with DTW: true and Window set.
-func (ix *LiveIndex) SearchDTW(query []float32, window float64) (Match, error) {
-	res, err := ix.Do(context.Background(), SearchRequest{Query: query, DTW: true, Window: window})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Best(), nil
 }
 
 // Flush synchronously merges all buffered series into the immutable

@@ -20,8 +20,8 @@ func rowsOf(data []float32, length int) [][]float32 {
 }
 
 // TestLiveEquivalence: a LiveIndex seeded with half the data and fed the
-// rest through Append/AppendBatch must answer Search, SearchKNN and
-// SearchDTW exactly like a from-scratch Build over the union — both
+// rest through Append/AppendBatch must answer 1-NN, k-NN and DTW
+// requests exactly like a from-scratch Build over the union — both
 // before any rebuild (delta path) and after Flush (rebuilt path).
 func TestLiveEquivalence(t *testing.T) {
 	const n, length = 1200, 64
@@ -49,22 +49,22 @@ func TestLiveEquivalence(t *testing.T) {
 	check := func(t *testing.T) {
 		t.Helper()
 		for qi, q := range queries {
-			got, err := lix.Search(q)
+			got, err := search(lix, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := oracle.Search(q)
+			want, err := search(oracle, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Distance != want.Distance || got.Position != want.Position {
 				t.Fatalf("query %d: live %+v, fresh %+v", qi, got, want)
 			}
-			gotK, err := lix.SearchKNN(q, 7)
+			gotK, err := searchKNN(lix, q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantK, err := oracle.SearchKNN(q, 7)
+			wantK, err := searchKNN(oracle, q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,11 +76,11 @@ func TestLiveEquivalence(t *testing.T) {
 					t.Fatalf("query %d k-NN rank %d: live %v, fresh %v", qi, i, gotK[i].Distance, wantK[i].Distance)
 				}
 			}
-			gotD, err := lix.SearchDTW(q, 0.1)
+			gotD, err := searchDTW(lix, q, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantD, err := oracle.SearchDTW(q, 0.1)
+			wantD, err := searchDTW(oracle, q, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,11 +131,11 @@ func TestLiveEquivalenceNormalized(t *testing.T) {
 		}
 	}
 	q := rowsOf(RandomWalk(1, length, 24), length)[0]
-	got, err := lix.Search(q)
+	got, err := search(lix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.Search(q)
+	want, err := search(oracle, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestLiveEquivalenceNormalized(t *testing.T) {
 }
 
 // TestLiveConcurrentAppendSearch is the public-API race test: concurrent
-// Append and Search/SearchKNN while a tiny rebuild threshold forces
+// Append and 1-NN/k-NN queries while a tiny rebuild threshold forces
 // background generation swaps mid-traffic. Run under -race in CI.
 func TestLiveConcurrentAppendSearch(t *testing.T) {
 	const length = 64
@@ -177,7 +177,7 @@ func TestLiveConcurrentAppendSearch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				q := initial[(s*131+i*17)%len(initial)]
-				m, err := lix.Search(q)
+				m, err := search(lix, q)
 				if err != nil {
 					t.Error(err)
 					return
@@ -186,7 +186,7 @@ func TestLiveConcurrentAppendSearch(t *testing.T) {
 					t.Errorf("self-query distance %v, want 0", m.Distance)
 					return
 				}
-				if _, err := lix.SearchKNN(q, 3); err != nil {
+				if _, err := searchKNN(lix, q, 3); err != nil {
 					t.Error(err)
 					return
 				}
@@ -206,7 +206,7 @@ func TestLiveConcurrentAppendSearch(t *testing.T) {
 	}
 	// Everything appended mid-traffic is now indexed and findable.
 	for i := 0; i < len(extra); i += 29 {
-		m, err := lix.Search(extra[i])
+		m, err := search(lix, extra[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestLiveEmptyStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lix.Close()
-	if _, err := lix.Search(make([]float32, length)); err == nil {
+	if _, err := search(lix, make([]float32, length)); err == nil {
 		t.Fatal("search over empty live index succeeded")
 	}
 	rows := rowsOf(RandomWalk(10, length, 27), length)
@@ -236,7 +236,7 @@ func TestLiveEmptyStart(t *testing.T) {
 	if pos != 0 {
 		t.Fatalf("first batch position %d, want 0", pos)
 	}
-	m, err := lix.Search(rows[3])
+	m, err := search(lix, rows[3])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,48 @@
 package messi
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
 )
+
+// doer is any public query frontend: Index, LiveIndex or Engine.
+type doer interface {
+	Do(ctx context.Context, req SearchRequest) (Result, error)
+}
+
+// best answers one request through Do, returning its nearest match.
+func best(d doer, req SearchRequest) (Match, error) {
+	res, err := d.Do(context.Background(), req)
+	if err != nil {
+		return Match{}, err
+	}
+	return res.Best(), nil
+}
+
+// search answers an exact Euclidean 1-NN query.
+func search(d doer, q []float32) (Match, error) { return best(d, SearchRequest{Query: q}) }
+
+// approxSearch answers an approximate Euclidean 1-NN query.
+func approxSearch(d doer, q []float32) (Match, error) {
+	return best(d, SearchRequest{Query: q, Mode: ModeApprox})
+}
+
+// searchDTW answers an exact DTW 1-NN query; window is a fraction of the
+// series length.
+func searchDTW(d doer, q []float32, window float64) (Match, error) {
+	return best(d, SearchRequest{Query: q, DTW: true, Window: window})
+}
+
+// searchKNN answers an exact Euclidean k-NN query.
+func searchKNN(d doer, q []float32, k int) ([]Match, error) {
+	res, err := d.Do(context.Background(), SearchRequest{Query: q, K: k})
+	if err != nil {
+		return nil, err
+	}
+	return res.Matches, nil
+}
 
 // mustSeries fetches an indexed series, failing the test on range errors.
 func mustSeries(t testing.TB, ix *Index, pos int) []float32 {
@@ -30,7 +68,7 @@ func TestBuildAndSearch(t *testing.T) {
 		pos := i * 97 % 2000
 		q := make([]float32, 64)
 		copy(q, mustSeries(t, ix, pos))
-		m, err := ix.Search(q)
+		m, err := search(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +88,7 @@ func TestBuildFromRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ix.Search(rows[2])
+	m, err := search(ix, rows[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +97,7 @@ func TestBuildFromRows(t *testing.T) {
 	}
 	// Build must copy: mutating the caller's rows does not affect results.
 	rows[2][0] = 1000
-	m2, err := ix.Search(mustSeries(t, ix, 2))
+	m2, err := search(ix, mustSeries(t, ix, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +130,7 @@ func TestCardinalityMapping(t *testing.T) {
 		}
 		q := make([]float32, 64)
 		copy(q, mustSeries(t, ix, 7))
-		m, err := ix.Search(q)
+		m, err := search(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +147,7 @@ func TestSearchReturnsTrueDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := RandomWalk(1, 64, 99)
-	m, err := ix.Search(q)
+	m, err := search(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +170,7 @@ func TestSearchKNNOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := SeismicLike(1, 64, 105)
-	ms, err := ix.SearchKNN(q, 5)
+	ms, err := searchKNN(ix, q, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +183,7 @@ func TestSearchKNNOrdering(t *testing.T) {
 		}
 	}
 	// First result must agree with 1-NN search.
-	m1, err := ix.Search(q)
+	m1, err := search(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +199,11 @@ func TestSearchDTWWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := RandomWalk(1, 64, 106)
-	ed, err := ix.Search(q)
+	ed, err := search(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d10, err := ix.SearchDTW(q, 0.1)
+	d10, err := searchDTW(ix, q, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +213,7 @@ func TestSearchDTWWindow(t *testing.T) {
 	}
 	// Out-of-range fractions are rejected — they used to be clamped
 	// silently (window=-0.5 answered with err=nil), which hid caller bugs.
-	if _, err := ix.SearchDTW(q, -0.5); err == nil {
+	if _, err := searchDTW(ix, q, -0.5); err == nil {
 		t.Error("negative window fraction accepted")
 	}
 }
@@ -200,7 +238,7 @@ func TestNormalizeOption(t *testing.T) {
 	for j := range q {
 		q[j] = 1000 * float32(j%7)
 	}
-	m, err := ix.Search(q)
+	m, err := search(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +270,7 @@ func TestFileRoundTripThroughAPI(t *testing.T) {
 	}
 	q := make([]float32, 128)
 	copy(q, mustSeries(t, ix, 42))
-	m, err := ix.Search(q)
+	m, err := search(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,18 +313,18 @@ func TestApproxSearchPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := RandomWalk(1, 64, 777)
-	approx, err := ix.ApproxSearch(q)
+	approx, err := approxSearch(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := ix.Search(q)
+	exact, err := search(ix, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if approx.Distance < exact.Distance-1e-9 {
 		t.Errorf("approximate %v below exact %v", approx.Distance, exact.Distance)
 	}
-	if _, err := ix.ApproxSearch(make([]float32, 3)); err == nil {
+	if _, err := approxSearch(ix, make([]float32, 3)); err == nil {
 		t.Error("wrong-length approx query accepted")
 	}
 }

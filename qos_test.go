@@ -283,8 +283,7 @@ func TestCancellationNoLeakedWorkers(t *testing.T) {
 }
 
 // TestSentinelErrors: every frontend reports malformed requests through
-// the same errors.Is-matchable sentinels, on the unified API and the
-// deprecated shims alike.
+// the same errors.Is-matchable sentinels.
 func TestSentinelErrors(t *testing.T) {
 	data := RandomWalk(300, 64, 91)
 	ix, err := BuildFlat(data, 64, &Options{LeafCapacity: 64})
@@ -330,27 +329,28 @@ func TestSentinelErrors(t *testing.T) {
 		}
 	}
 
-	// The deprecated shims speak the same sentinels.
-	if _, err := ix.SearchKNN(good, 0); !errors.Is(err, ErrBadK) {
-		t.Errorf("Index.SearchKNN(k=0): %v, want ErrBadK", err)
+	// The per-kind test helpers (all Do underneath) speak the same
+	// sentinels.
+	if _, err := searchKNN(ix, good, -1); !errors.Is(err, ErrBadK) {
+		t.Errorf("searchKNN(Index, k=-1): %v, want ErrBadK", err)
 	}
-	if _, err := ix.SearchDTW(good, -0.5); !errors.Is(err, ErrBadWindow) {
-		t.Errorf("Index.SearchDTW(-0.5): %v, want ErrBadWindow", err)
+	if _, err := searchDTW(ix, good, -0.5); !errors.Is(err, ErrBadWindow) {
+		t.Errorf("searchDTW(Index, -0.5): %v, want ErrBadWindow", err)
 	}
-	if _, err := ix.Search(make([]float32, 3)); !errors.Is(err, ErrWrongLength) {
-		t.Errorf("Index.Search(short): %v, want ErrWrongLength", err)
+	if _, err := search(ix, make([]float32, 3)); !errors.Is(err, ErrWrongLength) {
+		t.Errorf("search(Index, short): %v, want ErrWrongLength", err)
 	}
-	if _, err := lix.SearchKNN(good, -2); !errors.Is(err, ErrBadK) {
-		t.Errorf("LiveIndex.SearchKNN(k=-2): %v, want ErrBadK", err)
+	if _, err := searchKNN(lix, good, -2); !errors.Is(err, ErrBadK) {
+		t.Errorf("searchKNN(LiveIndex, k=-2): %v, want ErrBadK", err)
 	}
-	if _, err := eng.QueryDTW(good, 7); !errors.Is(err, ErrBadWindow) {
-		t.Errorf("Engine.QueryDTW(7): %v, want ErrBadWindow", err)
+	if _, err := searchDTW(eng, good, 7); !errors.Is(err, ErrBadWindow) {
+		t.Errorf("searchDTW(Engine, 7): %v, want ErrBadWindow", err)
 	}
 }
 
-// TestEngineDoSpectrum: the engine's unified method matches the
-// deprecated always-exact shims for exact requests and keeps the quality
-// contract for the rest of the spectrum.
+// TestEngineDoSpectrum: the engine's pooled answers match the index's
+// spawn-mode answers for exact requests and keep the quality contract for
+// the rest of the spectrum.
 func TestEngineDoSpectrum(t *testing.T) {
 	data := RandomWalk(2500, 64, 93)
 	for _, shards := range []int{0, 4} {
@@ -366,12 +366,12 @@ func TestEngineDoSpectrum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shim, err := eng.Query(q)
+		spawned, err := search(ix, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Exact || res.Best() != shim {
-			t.Fatalf("shards=%d: Do %+v, Query shim %+v", shards, res, shim)
+		if !res.Exact || res.Best() != spawned {
+			t.Fatalf("shards=%d: Engine.Do %+v, Index.Do %+v", shards, res, spawned)
 		}
 
 		res, err = eng.Do(context.Background(), SearchRequest{Query: q, Mode: ModeEpsilon, Epsilon: 0.05})
@@ -386,8 +386,8 @@ func TestEngineDoSpectrum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Exact || res.Best() != shim {
-			t.Fatalf("shards=%d: generous deadline %+v, exact %+v", shards, res.Best(), shim)
+		if !res.Exact || res.Best() != spawned {
+			t.Fatalf("shards=%d: generous deadline %+v, exact %+v", shards, res.Best(), spawned)
 		}
 
 		res, err = eng.Do(context.Background(), SearchRequest{Query: q, DTW: true, Window: 0.1})
@@ -496,5 +496,52 @@ func TestLiveDoSpectrum(t *testing.T) {
 	}
 	if !res.Exact || res.Best().Distance != 0 {
 		t.Fatalf("delta-only approx query: %+v, want exact self-match", res)
+	}
+}
+
+// TestNonFiniteQueryRejected: a query holding NaN or ±Inf is outside the
+// domain — no series is at a finite distance from it — so every frontend
+// rejects it with ErrNonFinite instead of answering "no match, exact".
+func TestNonFiniteQueryRejected(t *testing.T) {
+	const length = 64
+	ctx := context.Background()
+	for _, S := range []int{1, 2} {
+		opts := &Options{LeafCapacity: 64, SearchWorkers: 4, Shards: S}
+		ix, err := BuildFlat(RandomWalk(300, length, 95), length, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := ix.NewEngine(&EngineOptions{PoolWorkers: 2})
+		lix, err := BuildLiveFlat(RandomWalk(300, length, 96), length, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frontends := map[string]doer{"index": ix, "engine": eng, "live": lix}
+		kinds := map[string]SearchRequest{
+			"exact":  {},
+			"approx": {Mode: ModeApprox},
+			"knn":    {K: 5},
+			"dtw":    {DTW: true, Window: 0.1},
+		}
+		for vname, v := range map[string]float32{
+			"NaN":  float32(math.NaN()),
+			"+Inf": float32(math.Inf(1)),
+			"-Inf": float32(math.Inf(-1)),
+		} {
+			q := make([]float32, length)
+			q[length/2] = v
+			for fname, d := range frontends {
+				for kname, req := range kinds {
+					req.Query = q
+					res, err := d.Do(ctx, req)
+					if !errors.Is(err, ErrNonFinite) {
+						t.Errorf("S=%d %s/%s/%s: result %+v, err %v; want ErrNonFinite",
+							S, fname, kname, vname, res, err)
+					}
+				}
+			}
+		}
+		eng.Close()
+		lix.Close()
 	}
 }

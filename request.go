@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtw"
-	"repro/internal/engine"
 	"repro/internal/series"
 	"repro/internal/stats"
 )
@@ -17,18 +16,17 @@ import (
 // method on Index, LiveIndex, and Engine, covering the whole quality
 // spectrum — exact, approximate, ε-bounded, and deadline-bounded answers —
 // under every distance (Euclidean and constrained DTW) and answer shape
-// (1-NN and k-NN). The older per-method entry points (Search, SearchKNN,
-// SearchDTW, ApproxSearch, Query…) remain as thin deprecated shims.
+// (1-NN and k-NN). Do is the only query method; every request kind and
+// mode runs the same index traversal underneath, with the distance as a
+// parameter of that one search.
 //
-// The unified method is named Do (as in http.Client.Do) because Go has no
-// overloading and the name Search is already taken by the deprecated
-// 1-NN methods this API supersedes.
+// The method is named Do (as in http.Client.Do): one verb for a request
+// value, since Go has no overloading to tell the kinds apart.
 
 // Typed sentinel errors shared by every query layer, matchable with
 // errors.Is across Index, LiveIndex, Engine, and the HTTP handlers.
 var (
-	// ErrBadK reports a negative K in a request (or non-positive k in the
-	// deprecated k-NN methods).
+	// ErrBadK reports a negative K in a request, or K > 1 with DTW.
 	ErrBadK = core.ErrBadK
 	// ErrBadWindow reports a DTW window fraction outside [0,1].
 	ErrBadWindow = core.ErrBadWindow
@@ -37,11 +35,14 @@ var (
 	ErrWrongLength = core.ErrWrongLength
 	// ErrBadEpsilon reports a negative or non-finite Epsilon.
 	ErrBadEpsilon = core.ErrBadEpsilon
-	// ErrQueryPanicked reports a query that panicked inside the engine.
-	// The panic is recovered on the worker, fails only the offending
-	// query, and leaves the pool serving; the wrapped error carries the
-	// panic value and the stack is logged via slog.
-	ErrQueryPanicked = engine.ErrQueryPanicked
+	// ErrNonFinite reports a query holding a NaN or ±Inf value.
+	ErrNonFinite = core.ErrNonFinite
+	// ErrQueryPanicked reports a query that panicked on a search worker
+	// (a pooled engine unit or a goroutine of a one-shot Index search).
+	// The panic is recovered, fails only the offending query, and leaves
+	// the index serving; the wrapped error carries the panic value and
+	// the stack is logged via slog.
+	ErrQueryPanicked = core.ErrQueryPanicked
 )
 
 // Mode selects the quality-of-service level of a query: how much answer
@@ -203,12 +204,6 @@ type collectors struct {
 // context, and attaches the counter/trace collectors the request asked
 // for.
 func buildRequest(ctx context.Context, req SearchRequest, seriesLen int, normalize bool) (core.Request, collectors, error) {
-	if req.K < 0 {
-		return core.Request{}, collectors{}, fmt.Errorf("%w, got %d", ErrBadK, req.K)
-	}
-	if req.DTW && req.K > 1 {
-		return core.Request{}, collectors{}, fmt.Errorf("messi: k-NN under DTW is not supported (k=%d): %w", req.K, ErrBadK)
-	}
 	window := 0
 	if req.DTW {
 		if err := checkWindowFraction(req.Window); err != nil {
@@ -302,11 +297,10 @@ func publicResult(res core.Result, col collectors) Result {
 	return out
 }
 
-// Do serves one query on the index across the whole quality spectrum —
-// the unified entry point the deprecated Search/ApproxSearch/SearchKNN/
-// SearchDTW methods delegate to. A context cancellation stops the search
-// at leaf-scan granularity and returns the best answer so far flagged
-// Exact=false.
+// Do serves one query on the index across the whole quality spectrum,
+// running the paper's per-query search workers. A context cancellation
+// stops the search at leaf-scan granularity and returns the best answer
+// so far flagged Exact=false.
 func (ix *Index) Do(ctx context.Context, req SearchRequest) (Result, error) {
 	creq, col, err := buildRequest(ctx, req, ix.inner.SeriesLen(), ix.normalize)
 	if err != nil {

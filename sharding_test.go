@@ -1,11 +1,16 @@
 package messi
 
 import (
+	"context"
 	"errors"
 	"math"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/dtw"
+	"repro/internal/scan"
+	"repro/internal/series"
 )
 
 // TestShardedPublicEquivalence: Options.Shards ∈ {2,4,8} answers 1-NN,
@@ -29,33 +34,33 @@ func TestShardedPublicEquivalence(t *testing.T) {
 		eng := sharded.NewEngine(&EngineOptions{PoolWorkers: 4})
 		for qi := 0; qi < 8; qi++ {
 			q := queries[qi*64 : (qi+1)*64]
-			want, err := plain.Search(q)
+			want, err := search(plain, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sharded.Search(q)
+			got, err := search(sharded, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
 				t.Fatalf("Shards=%d query %d: %+v, unsharded %+v", S, qi, got, want)
 			}
-			viaEng, err := eng.Query(q)
+			viaEng, err := search(eng, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if viaEng != want {
 				t.Fatalf("Shards=%d query %d via engine: %+v, unsharded %+v", S, qi, viaEng, want)
 			}
-			wantK, err := plain.SearchKNN(q, 7)
+			wantK, err := searchKNN(plain, q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotK, err := sharded.SearchKNN(q, 7)
+			gotK, err := searchKNN(sharded, q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			engK, err := eng.QueryKNN(q, 7)
+			engK, err := searchKNN(eng, q, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,11 +73,11 @@ func TestShardedPublicEquivalence(t *testing.T) {
 						S, qi, i, gotK[i], engK[i], wantK[i])
 				}
 			}
-			wantD, err := plain.SearchDTW(q, 0.1)
+			wantD, err := searchDTW(plain, q, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotD, err := sharded.SearchDTW(q, 0.1)
+			gotD, err := searchDTW(sharded, q, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,6 +86,68 @@ func TestShardedPublicEquivalence(t *testing.T) {
 			}
 		}
 		eng.Close()
+	}
+}
+
+// TestDTWEngineMatchesBruteForce: DTW requests served by the engine's
+// pooled runs — single tree and shard fan-out, every window, and a live
+// index with appended series — return the brute-force constrained-DTW
+// nearest neighbor: same position, same distance.
+func TestDTWEngineMatchesBruteForce(t *testing.T) {
+	const length = 64
+	data := RandomWalk(1500, length, 41)
+	queries := RandomWalk(4, length, 4141)
+	col, err := series.NewCollection(data, length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, d doer, col *series.Collection, frac float64) {
+		t.Helper()
+		window := dtw.WindowSize(length, frac)
+		for qi := 0; qi < 4; qi++ {
+			q := queries[qi*length : (qi+1)*length]
+			want, err := scan.SearchDTW(col, q, window, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := d.Do(context.Background(), SearchRequest{Query: q, DTW: true, Window: frac})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Best()
+			if !res.Exact || got.Position != want.Position || got.Distance != math.Sqrt(want.Dist) {
+				t.Fatalf("window %v query %d: %+v (exact %v), brute force %+v",
+					frac, qi, got, res.Exact, Match{Position: want.Position, Distance: math.Sqrt(want.Dist)})
+			}
+		}
+	}
+	windows := []float64{0, 0.05, 0.1, 0.2}
+	for _, S := range []int{1, 2, 4, 8} {
+		ix, err := BuildFlat(data, length, &Options{LeafCapacity: 64, Shards: S})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := ix.NewEngine(&EngineOptions{PoolWorkers: 4})
+		for _, frac := range windows {
+			check(t, eng, col, frac)
+		}
+		eng.Close()
+	}
+
+	// Live appends: the delta scan seeds the pooled DTW runs.
+	lix, err := BuildLiveFlat(data[:1000*length], length, &Options{LeafCapacity: 64, Shards: 2},
+		&LiveOptions{RebuildThreshold: 1 << 30, ScanWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lix.Close()
+	for i := 1000; i < 1500; i++ {
+		if _, err := lix.Append(data[i*length : (i+1)*length]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, frac := range windows {
+		check(t, lix, col, frac)
 	}
 }
 
@@ -111,11 +178,11 @@ func TestShardedSnapshotDirRoundTrip(t *testing.T) {
 	}
 	q := make([]float32, 64)
 	copy(q, mustSeries(t, sharded, 421))
-	want, err := sharded.Search(q)
+	want, err := search(sharded, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.Search(q)
+	got, err := search(loaded, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +214,7 @@ func TestShardedSnapshotDirRoundTrip(t *testing.T) {
 	if err := lix.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := lix.Search(novel)
+	m, err := search(lix, novel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,21 +243,21 @@ func TestDTWWindowValidation(t *testing.T) {
 	q := make([]float32, 64)
 
 	for _, window := range []float64{-0.5, -1e-9, 1.0000001, 42, math.NaN()} {
-		if _, err := ix.SearchDTW(q, window); err == nil {
+		if _, err := searchDTW(ix, q, window); err == nil {
 			t.Errorf("Index.SearchDTW accepted window %v", window)
 		} else if !strings.Contains(err.Error(), "window") {
 			t.Errorf("Index.SearchDTW window %v: undescriptive error %q", window, err)
 		}
-		if _, err := lix.SearchDTW(q, window); err == nil {
+		if _, err := searchDTW(lix, q, window); err == nil {
 			t.Errorf("LiveIndex.SearchDTW accepted window %v", window)
 		}
 	}
 	// The boundary fractions stay valid.
 	for _, window := range []float64{0, 0.1, 1} {
-		if _, err := ix.SearchDTW(q, window); err != nil {
+		if _, err := searchDTW(ix, q, window); err != nil {
 			t.Errorf("Index.SearchDTW rejected window %v: %v", window, err)
 		}
-		if _, err := lix.SearchDTW(q, window); err != nil {
+		if _, err := searchDTW(lix, q, window); err != nil {
 			t.Errorf("LiveIndex.SearchDTW rejected window %v: %v", window, err)
 		}
 	}
@@ -207,26 +274,30 @@ func TestAPIBoundaryEdgeCases(t *testing.T) {
 	}
 
 	t.Run("wrong-length-search", func(t *testing.T) {
-		if _, err := ix.Search(make([]float32, 7)); err == nil {
+		if _, err := search(ix, make([]float32, 7)); err == nil {
 			t.Error("Search accepted a wrong-length query")
 		}
-		if _, err := ix.SearchKNN(make([]float32, 7), 3); err == nil {
+		if _, err := searchKNN(ix, make([]float32, 7), 3); err == nil {
 			t.Error("SearchKNN accepted a wrong-length query")
 		}
-		if _, err := ix.SearchDTW(make([]float32, 7), 0.1); err == nil {
+		if _, err := searchDTW(ix, make([]float32, 7), 0.1); err == nil {
 			t.Error("SearchDTW accepted a wrong-length query")
 		}
 	})
 
 	t.Run("knn-k-range", func(t *testing.T) {
 		q := make([]float32, 64)
-		for _, k := range []int{0, -3} {
-			if _, err := ix.SearchKNN(q, k); err == nil {
+		for _, k := range []int{-1, -3} {
+			if _, err := searchKNN(ix, q, k); err == nil {
 				t.Errorf("SearchKNN accepted k=%d", k)
 			}
 		}
+		// K=0 means 1-NN.
+		if ms, err := searchKNN(ix, q, 0); err != nil || len(ms) != 1 {
+			t.Errorf("K=0: %d matches, %v; want one 1-NN match", len(ms), err)
+		}
 		// k beyond the collection clamps to Len(), not an error.
-		ms, err := ix.SearchKNN(q, ix.Len()+100)
+		ms, err := searchKNN(ix, q, ix.Len()+100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,13 +343,13 @@ func TestAPIBoundaryEdgeCases(t *testing.T) {
 		}
 		defer lix.Close()
 		q := make([]float32, 64)
-		if _, err := lix.Search(q); err == nil {
+		if _, err := search(lix, q); err == nil {
 			t.Error("Search on an empty live index did not error")
 		}
-		if _, err := lix.SearchKNN(q, 3); err == nil {
+		if _, err := searchKNN(lix, q, 3); err == nil {
 			t.Error("SearchKNN on an empty live index did not error")
 		}
-		if _, err := lix.SearchDTW(q, 0.1); err == nil {
+		if _, err := searchDTW(lix, q, 0.1); err == nil {
 			t.Error("SearchDTW on an empty live index did not error")
 		}
 	})
