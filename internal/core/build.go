@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,14 +64,20 @@ func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*In
 	start := time.Now()
 	var chunkCtr atomic.Int64
 	var wg sync.WaitGroup
+	bad := make([]int, nw) // per worker: a non-finite series' position, or -1
 	for pid := 0; pid < nw; pid++ {
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
-			summarizeWorker(ix, bufs, &chunkCtr, pid)
+			bad[pid] = summarizeWorker(ix, bufs, &chunkCtr, pid)
 		}(pid)
 	}
 	wg.Wait()
+	for _, j := range bad {
+		if j >= 0 {
+			return nil, fmt.Errorf("%w: series %d", ErrNonFinite, j)
+		}
+	}
 	summarizeDone := time.Now()
 
 	// Phase 2 — TreeConstruction (Algorithm 4): workers claim whole
@@ -100,8 +107,12 @@ func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*In
 }
 
 // summarizeWorker is one phase-1 worker: it converts raw series to iSAX
-// words chunk by chunk.
-func summarizeWorker(ix *Index, bufs *buffer.Buffers, chunkCtr *atomic.Int64, pid int) {
+// words chunk by chunk. It stops at the first series holding a NaN or ±Inf
+// value and returns its position (-1 when every series it saw is finite).
+// A series is finite exactly when all its segment means are — the sums
+// run in float64, where float32 values cannot overflow — so the check
+// reads the PAA the word needs anyway instead of the raw values.
+func summarizeWorker(ix *Index, bufs *buffer.Buffers, chunkCtr *atomic.Int64, pid int) int {
 	data := ix.Data
 	schema := ix.Schema
 	chunk := ix.Opts.ChunkSize
@@ -112,7 +123,7 @@ func summarizeWorker(ix *Index, bufs *buffer.Buffers, chunkCtr *atomic.Int64, pi
 		b := int(chunkCtr.Add(1) - 1)
 		lo := b * chunk
 		if lo >= count {
-			return
+			return -1
 		}
 		hi := lo + chunk
 		if hi > count {
@@ -120,6 +131,9 @@ func summarizeWorker(ix *Index, bufs *buffer.Buffers, chunkCtr *atomic.Int64, pi
 		}
 		for j := lo; j < hi; j++ {
 			paa.Transform(data.At(j), schema.Segments, paaBuf)
+			if !finite(paaBuf) {
+				return j
+			}
 			schema.WordFromPAA(paaBuf, word)
 			l := schema.RootIndex(word)
 			bufs.Append(l, pid, word, int32(j))
@@ -144,4 +158,15 @@ func treeWorker(ix *Index, bufs *buffer.Buffers, bufCtr *atomic.Int64) {
 			ix.Tree.Insert(root, word, pos)
 		})
 	}
+}
+
+// finite reports whether every value in v is finite. Summing first keeps
+// it to one test: a NaN or ±Inf term leaves the sum non-finite (+Inf and
+// −Inf together give NaN), and finite segment means cannot overflow.
+func finite(v []float64) bool {
+	var sum float64
+	for _, x := range v {
+		sum += x
+	}
+	return !math.IsNaN(sum) && !math.IsInf(sum, 0)
 }

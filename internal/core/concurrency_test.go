@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -211,6 +212,86 @@ func TestLeafCapacityOne(t *testing.T) {
 		}
 		if math.Abs(got.Dist-want.Dist) > 1e-6*(1+want.Dist) {
 			t.Fatalf("query %d: %v want %v", qi, got.Dist, want.Dist)
+		}
+	}
+}
+
+// TestRootClaimCoverage pins the block claims of the tree pass: each
+// root subtree is claimed by exactly one worker, whatever the worker
+// count and however the block size divides the roots. A seed at distance
+// 0 prunes every root on its first bound, so the tree pass visits each
+// active root exactly once and nothing below it.
+func TestRootClaimCoverage(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		count, segments    int
+		minRoots, maxRoots int
+	}{
+		{"about-100-roots", 600, 8, 60, 160},
+		{"thousands-of-roots", 20000, 16, 2000, 1 << 16},
+	} {
+		opts := smallOpts()
+		opts.Segments = tc.segments
+		ix := buildTestIndex(t, dataset.RandomWalk, tc.count, 64, opts)
+		roots := len(ix.ActiveRoots())
+		if roots < tc.minRoots || roots > tc.maxRoots {
+			t.Fatalf("%s: %d active roots, want [%d, %d]", tc.name, roots, tc.minRoots, tc.maxRoots)
+		}
+		q := append([]float32(nil), ix.Data.At(0)...)
+		for _, workers := range []int{1, 2, 3, 8, 64, 257} {
+			ctrs := &stats.Counters{}
+			ms, err := run(ix, Request{Query: q}, SearchOptions{
+				Workers:  workers,
+				Seeds:    []Match{{Position: 0, Dist: 0}},
+				Counters: ctrs,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ms[0] != (Match{Position: 0, Dist: 0}) {
+				t.Errorf("%s workers=%d: answer %+v, want the seed", tc.name, workers, ms[0])
+			}
+			if got := ctrs.Snapshot().NodesVisited; got != int64(roots) {
+				t.Errorf("%s workers=%d: visited %d nodes, want one per active root (%d)",
+					tc.name, workers, got, roots)
+			}
+		}
+	}
+}
+
+// TestRootClaimDeadlineTruncates: a deadline that fires during the tree
+// pass stops every worker at its next per-root stop check, and the
+// answer must say it is not exact.
+func TestRootClaimDeadlineTruncates(t *testing.T) {
+	opts := smallOpts()
+	opts.Segments = 16
+	ix := buildTestIndex(t, dataset.RandomWalk, 20000, 64, opts)
+	roots := int64(len(ix.ActiveRoots()))
+	queries, _ := dataset.Queries(dataset.RandomWalk, 3, 64, 207)
+	for _, workers := range []int{1, 3, 64} {
+		for qi := 0; qi < queries.Count(); qi++ {
+			// Already past when the tree pass makes its first stop check;
+			// the approximate descent before it does not check.
+			req := Request{Query: queries.At(qi), Mode: ModeDeadline, Deadline: time.Now().Add(-time.Millisecond)}
+			qos := req.NewQoS()
+			ctrs := &stats.Counters{}
+			r, err := ix.NewRun(req, nil, SearchOptions{Workers: workers, QoS: qos, Counters: ctrs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+			res := qos.Finish(r.Matches(), req.Mode)
+			if res.Exact || !math.IsInf(res.EpsilonBound, 1) {
+				t.Errorf("workers=%d query %d: %+v, want inexact with no proven bound", workers, qi, res)
+			}
+			if res.Matches[0].Position < 0 {
+				t.Errorf("workers=%d query %d: no best-so-far from the approximate descent", workers, qi)
+			}
+			if got := ctrs.Snapshot().NodesVisited; got >= roots {
+				t.Errorf("workers=%d query %d: visited %d nodes of %d roots after the deadline", workers, qi, got, roots)
+			}
 		}
 	}
 }

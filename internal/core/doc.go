@@ -18,6 +18,28 @@
 // paper's per-query mode, behind Index.Search and shard.Index.Do);
 // internal/engine executes the same InsertPhase/DrainPhase as pool units.
 //
+// # Keeping a query's workers out of each other's way
+//
+// The tree pass claims work from one counter per run. A Fetch&Add claims
+// a block of consecutive active roots, not one root: the benchmark index
+// (1M random walks) has about 28,000 active roots, and one contended
+// Fetch&Inc per root cost more CPU than the pruning they fed. The block
+// is len(activeRoots)/(8·Workers), at least 1, derived from the input so
+// no option is needed: each worker still expects about eight claims, so
+// the claims balance as before, and a tree with a few hundred roots keeps
+// the one-root grain. Build phase 1 claims 20,000-series chunks the same
+// way. Deadline and cancellation checks stay per root, inside a block.
+//
+// Leaf lower bounds come from one kernel, leafScratch.accumulate, shared
+// by the Euclidean and DTW scans: four segment columns per pass over the
+// leaf's accumulators, then the last w mod 4 columns one at a time, with
+// 256-cell table-row views (isax.DistTable.Row) and leaf-length columns so
+// the loops carry no bounds checks. Every entry still adds its cells one
+// at a time in ascending segment order from +0, so each bound is bitwise
+// identical to the scalar kernels (isax.Schema.MinDistPAAWord and
+// MinDistEnvelopeWord); TestScanLeafBoundsMatchScalarKernel and
+// FuzzLeafBoundsEquivalence pin that order.
+//
 // # Contracts
 //
 // An *Index is immutable once Build returns: every search method is safe
@@ -33,7 +55,8 @@
 // validation site; its failures wrap the sentinel errors ErrBadK,
 // ErrBadWindow, ErrBadEpsilon and ErrNonFinite (the index adds
 // ErrWrongLength), so callers can map them to API responses without string
-// matching. A panic on a search worker fails only its query, with an error
+// matching. Build rejects a series holding NaN or ±Inf with ErrNonFinite
+// too, found from the PAA it computes anyway. A panic on a search worker fails only its query, with an error
 // wrapping ErrQueryPanicked.
 //
 // # Concurrency invariants

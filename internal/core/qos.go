@@ -39,10 +39,11 @@ var (
 	ErrWrongLength = errors.New("core: query length does not match index series length")
 	// ErrBadEpsilon reports a negative or non-finite ε tolerance.
 	ErrBadEpsilon = errors.New("core: epsilon must be finite and non-negative")
-	// ErrNonFinite reports a query holding a NaN or infinite value: no
-	// series is at a finite distance from it, so any answer would be
-	// empty yet look exact.
-	ErrNonFinite = errors.New("core: query values must be finite")
+	// ErrNonFinite reports a query or an indexed series holding a NaN or
+	// infinite value: no series is at a finite distance from such a
+	// query (any answer would be empty yet look exact), and such a series
+	// has no iSAX word to index it under.
+	ErrNonFinite = errors.New("core: values must be finite")
 	// ErrQueryPanicked is returned (wrapped, see PanicError) by a query
 	// whose execution panicked on a worker — a spawned one or a pool
 	// unit. The panic is confined to that one query.
@@ -145,12 +146,21 @@ func (req Request) Validate() error {
 		(math.IsNaN(req.Epsilon) || math.IsInf(req.Epsilon, 0) || req.Epsilon < 0) {
 		return ErrBadEpsilon
 	}
-	for i, v := range req.Query {
-		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("%w: query[%d] = %v", ErrNonFinite, i, v)
-		}
+	if i := FirstNonFinite(req.Query); i >= 0 {
+		return fmt.Errorf("%w: query[%d] = %v", ErrNonFinite, i, req.Query[i])
 	}
 	return nil
+}
+
+// FirstNonFinite returns the index of s's first NaN or ±Inf value, or -1
+// when every value is finite.
+func FirstNonFinite(s []float32) int {
+	for i, v := range s {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+			return i
+		}
+	}
+	return -1
 }
 
 // NewQoS builds the per-query QoS state for the request, or nil when the

@@ -149,19 +149,39 @@ func (s *leafScratch) bounds(n int) []float64 {
 // accumulate streams a leaf's symbol columns against the distance
 // table's rows, leaving each entry's unscaled lower-bound sum in the
 // scratch buffer — the one canonical column kernel shared by the
-// Euclidean and DTW leaf scans. The ascending-segment accumulation
-// order is what makes the result (after scaling) bitwise identical to
-// the scalar per-entry kernels; keep it if you touch this.
+// Euclidean and DTW leaf scans. It fuses four segment columns per pass
+// over the leaf, so each accumulator is loaded and stored once per four
+// table lookups, then takes the last w mod 4 columns one at a time. Each
+// entry still adds its cells one by one in ascending segment order
+// (starting from +0, which leaves the first cell's bits unchanged), so
+// the result (after scaling) is bitwise identical to the scalar
+// per-entry kernels; keep that order if you touch this. Rows are
+// 256-cell views and columns are re-sliced to the leaf length, so the
+// loops compile without bounds checks.
 func (s *leafScratch) accumulate(leaf *tree.Node, tab *isax.DistTable, w int) []float64 {
 	lbs := s.bounds(leaf.LeafLen())
-	row := tab.Row(0)
-	for e, sym := range leaf.Col(0) {
-		lbs[e] = row[sym]
+	clear(lbs)
+	seg := 0
+	for ; seg+4 <= w; seg += 4 {
+		r0, r1, r2, r3 := tab.Row(seg), tab.Row(seg+1), tab.Row(seg+2), tab.Row(seg+3)
+		c0 := leaf.Col(seg)[:len(lbs)]
+		c1 := leaf.Col(seg + 1)[:len(lbs)]
+		c2 := leaf.Col(seg + 2)[:len(lbs)]
+		c3 := leaf.Col(seg + 3)[:len(lbs)]
+		for e := range lbs {
+			acc := lbs[e]
+			acc += r0[c0[e]]
+			acc += r1[c1[e]]
+			acc += r2[c2[e]]
+			acc += r3[c3[e]]
+			lbs[e] = acc
+		}
 	}
-	for seg := 1; seg < w; seg++ {
-		row = tab.Row(seg)
-		for e, sym := range leaf.Col(seg) {
-			lbs[e] += row[sym]
+	for ; seg < w; seg++ {
+		r := tab.Row(seg)
+		c := leaf.Col(seg)[:len(lbs)]
+		for e := range lbs {
+			lbs[e] += r[c[e]]
 		}
 	}
 	return lbs
@@ -191,7 +211,7 @@ func NewQueryState() *QueryState { return &QueryState{} }
 // workers can be either goroutines spawned for this query (Run) or units
 // dispatched onto a persistent pool (internal/engine):
 //
-//	InsertPhase — claim root subtrees via Fetch&Inc, prune, push
+//	InsertPhase — claim blocks of root subtrees via Fetch&Add, prune, push
 //	              non-prunable leaves into the queues (lines 1-6);
 //	DrainPhase  — after every InsertPhase call has returned (the
 //	              all-inserted barrier of line 7), drain queues until all
@@ -419,10 +439,17 @@ func (r *SearchRun) releaseTable() {
 	}
 }
 
-// InsertPhase is the tree-traversal half of Algorithm 6: claim root
-// subtrees via Fetch&Inc and push non-prunable leaves into the queues.
-// Every participating worker must call it exactly once, and all calls
-// must return before the first DrainPhase call starts.
+// InsertPhase is the tree-traversal half of Algorithm 6: claim blocks of
+// root subtrees via Fetch&Add and push non-prunable leaves into the
+// queues. Every participating worker must call it exactly once, and all
+// calls must return before the first DrainPhase call starts.
+//
+// A block of consecutive active roots per claim, not a single root: with
+// thousands of roots and dozens of workers, a per-root claim would make
+// the shared counter's cache line the hottest spot of the tree pass. The
+// block is len(activeRoots)/(8·Workers), at least 1, so every worker
+// still expects about eight claims and a small tree keeps the one-root
+// grain; the stop check stays per root.
 func (r *SearchRun) InsertPhase(pid int) {
 	ctrs, bd := r.opt.Counters, r.opt.Breakdown
 	cursor := pid % r.opt.Queues // round-robin insertion cursor (line 2)
@@ -432,18 +459,22 @@ func (r *SearchRun) InsertPhase(pid int) {
 		tStart = time.Now()
 	}
 	var insertTime time.Duration
+	roots := r.ix.activeRoots
+	block := max(1, len(roots)/(8*r.opt.Workers))
+claim:
 	for {
-		i := int(r.rootCtr.Add(1) - 1)
-		if i >= len(r.ix.activeRoots) {
+		end := int(r.rootCtr.Add(int64(block)))
+		if end-block >= len(roots) {
 			break
 		}
-		if r.qos.ShouldStop() {
-			// Root subtree i (at least) goes unexplored.
-			r.qos.MarkTruncated()
-			break
+		for _, slot := range roots[end-block : min(end, len(roots))] {
+			if r.qos.ShouldStop() {
+				// This root subtree (at least) goes unexplored.
+				r.qos.MarkTruncated()
+				break claim
+			}
+			r.traverse(r.ix.Tree.Root(int(slot)), &cursor, &insertTime, ctrs, bd)
 		}
-		root := r.ix.Tree.Root(int(r.ix.activeRoots[i]))
-		r.traverse(root, &cursor, &insertTime, ctrs, bd)
 	}
 	if bd.Enabled() {
 		bd.Add(stats.PhaseTreePass, time.Since(tStart)-insertTime)

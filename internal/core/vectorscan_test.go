@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/dtw"
+	"repro/internal/isax"
 	"repro/internal/paa"
 	"repro/internal/tree"
 	"repro/internal/vector"
@@ -146,43 +148,122 @@ func TestVectorizedSearchMatchesNaiveKernels(t *testing.T) {
 }
 
 // TestScanLeafBoundsMatchScalarKernel checks, on real tree leaves, that
-// the segment-major column accumulation produces bitwise-identical lower
-// bounds to the per-entry scalar kernel.
+// the fused column kernel produces bitwise-identical lower bounds to the
+// per-entry scalar kernels, for Euclidean (PAA) and DTW (envelope)
+// tables alike. The segment counts cover every w mod 4 remainder the
+// kernel's four-column passes leave, and CardBits below 8 exercises the
+// padded 256-cell row views.
 func TestScanLeafBoundsMatchScalarKernel(t *testing.T) {
-	ix := buildTestIndex(t, dataset.RandomWalk, 3000, 64, smallOpts())
-	queries, err := dataset.Generate(dataset.RandomWalk, 5, 64, 31)
+	const length, window = 240, 12 // 240 is a multiple of every segment count
+	queries, err := dataset.Generate(dataset.RandomWalk, 3, length, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := ix.Schema.Segments
-	tab := ix.Schema.NewDistTable()
-	var scratch leafScratch
-	wordBuf := make([]uint8, w)
-	for qi := 0; qi < queries.Count(); qi++ {
-		qpaa := paa.Transform(queries.At(qi), w, nil)
-		tab.BuildPAA(qpaa)
-		ix.Tree.ForEachLeaf(func(leaf *tree.Node) {
-			n := leaf.LeafLen()
-			if n == 0 {
-				return
+	for _, w := range []int{1, 3, 4, 5, 6, 8, 16} {
+		for _, cardBits := range []int{1, 4, 8} {
+			opts := smallOpts()
+			opts.Segments, opts.CardBits = w, cardBits
+			ix := buildTestIndex(t, dataset.RandomWalk, 1500, length, opts)
+			s := ix.Schema
+			tab := s.NewDistTable()
+			var scratch leafScratch
+			wordBuf := make([]uint8, w)
+			// check compares every leaf's column bounds with scalar(word).
+			check := func(kind string, qi int, scalar func(word []uint8) float64) {
+				ix.Tree.ForEachLeaf(func(leaf *tree.Node) {
+					lbs := scratch.accumulate(leaf, tab, w)
+					for e := range lbs {
+						got := lbs[e] * tab.Scale()
+						if want := scalar(leaf.Word(e, w, wordBuf)); got != want {
+							t.Fatalf("w=%d cardBits=%d %s query %d entry %d: column bound %v, scalar %v",
+								w, cardBits, kind, qi, e, got, want)
+						}
+					}
+				})
 			}
-			lbs := scratch.accumulate(leaf, tab, w)
-			for e := 0; e < n; e++ {
-				got := lbs[e] * tab.Scale()
-				want := ix.Schema.MinDistPAAWord(qpaa, leaf.Word(e, w, wordBuf))
-				if got != want {
-					t.Fatalf("query %d entry %d: column bound %v, scalar %v", qi, e, got, want)
-				}
+			for qi := 0; qi < queries.Count(); qi++ {
+				q := queries.At(qi)
+				qpaa := paa.Transform(q, w, nil)
+				tab.BuildPAA(qpaa)
+				check("euclidean", qi, func(word []uint8) float64 { return s.MinDistPAAWord(qpaa, word) })
+
+				u, l := dtw.Envelope(q, window)
+				uMax, lMin := paa.SegmentMax(u, w, nil), paa.SegmentMin(l, w, nil)
+				tab.BuildEnvelope(uMax, lMin)
+				check("dtw", qi, func(word []uint8) float64 { return s.MinDistEnvelopeWord(uMax, lMin, word) })
 			}
-		})
+		}
 	}
 }
 
+// FuzzLeafBoundsEquivalence drives the fused column kernel with random
+// leaves (any segment count, cardinality, entry count and column stride)
+// and random query summaries, Euclidean or DTW, and requires every bound
+// to equal the scalar kernel's bit for bit. Each leaf is scanned twice
+// with the same scratch, so a bound that leaked from the previous scan
+// would show.
+func FuzzLeafBoundsEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(16), uint8(8), uint16(300), float64(1), false)
+	f.Add(int64(2), uint8(5), uint8(4), uint16(7), float64(3), true)
+	f.Add(int64(3), uint8(3), uint8(1), uint16(1), float64(0.5), false)
+	f.Add(int64(4), uint8(1), uint8(8), uint16(64), float64(1e150), true)
+	f.Fuzz(func(t *testing.T, seed int64, segments, cardBits uint8, entries uint16, spread float64, envelope bool) {
+		if math.IsNaN(spread) || math.IsInf(spread, 0) {
+			t.Skip()
+		}
+		w := int(segments)%isax.MaxSegments + 1
+		cb := int(cardBits)%isax.MaxCardBits + 1
+		s, err := isax.NewSchema(w, w, cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		n := int(entries) % 1024
+		leaf := &tree.Node{Stride: n + rng.Intn(8), Positions: make([]int32, n)}
+		leaf.Words = make([]uint8, w*leaf.Stride)
+		for i := range leaf.Words {
+			leaf.Words[i] = uint8(rng.Intn(s.Cardinality()))
+		}
+		upper, lower := make([]float64, w), make([]float64, w)
+		for i := range upper {
+			upper[i] = rng.NormFloat64() * spread
+			lower[i] = upper[i]
+			if envelope {
+				lower[i] -= rng.ExpFloat64() * math.Abs(spread)
+				upper[i] += rng.ExpFloat64() * math.Abs(spread)
+			}
+		}
+		tab := s.NewDistTable()
+		scalar := func(word []uint8) float64 { return s.MinDistPAAWord(upper, word) }
+		if envelope {
+			tab.BuildEnvelope(upper, lower)
+			scalar = func(word []uint8) float64 { return s.MinDistEnvelopeWord(upper, lower, word) }
+		} else {
+			tab.BuildPAA(upper)
+		}
+		var scratch leafScratch
+		wordBuf := make([]uint8, w)
+		for pass := 0; pass < 2; pass++ {
+			lbs := scratch.accumulate(leaf, tab, w)
+			if len(lbs) != n {
+				t.Fatalf("pass %d: %d bounds for %d entries", pass, len(lbs), n)
+			}
+			for e, lb := range lbs {
+				if got, want := lb*tab.Scale(), scalar(leaf.Word(e, w, wordBuf)); got != want {
+					t.Fatalf("pass %d entry %d (w=%d cardBits=%d envelope=%v): column bound %v, scalar %v",
+						pass, e, w, cb, envelope, got, want)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkLeafScan measures the lower-bound stage of the leaf scan over
-// a realistically filled tree: the pre-PR shape (entry-major words, one
-// scalar kernel call per entry) against the segment-major column loops
-// over the per-query distance table. Real-distance work is excluded so
-// the numbers isolate the kernel the PR vectorized.
+// a realistically filled tree: entry-major words with one scalar kernel
+// call per entry (the reference) against the fused segment-major column
+// kernel over the per-query distance table (leafScratch.accumulate, what
+// queries run). Real-distance work is excluded so the numbers isolate
+// the lower-bound kernel.
 func BenchmarkLeafScan(b *testing.B) {
 	data, err := dataset.Generate(dataset.RandomWalk, 40000, 256, 11)
 	if err != nil {
@@ -201,7 +282,7 @@ func BenchmarkLeafScan(b *testing.B) {
 			entries += n.LeafLen()
 		}
 	})
-	// Entry-major copies of every leaf's words: the pre-PR layout.
+	// Entry-major copies of every leaf's words: the reference layout.
 	aos := make([][]uint8, len(leaves))
 	for li, leaf := range leaves {
 		flat := make([]uint8, leaf.LeafLen()*w)

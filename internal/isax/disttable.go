@@ -24,7 +24,8 @@ package isax
 // property the equivalence fuzz test pins down.
 //
 // Memory: one flat allocation of w × (2^(CardBits+1) − 2) float64 cells
-// (64 KiB at the paper's w=16, CardBits=8), reused across queries via
+// plus 256 − 2^CardBits cells of padding for Row's fixed-size view (64 KiB
+// at the paper's w=16, CardBits=8), reused across queries via
 // Build. A DistTable is owned by one query at a time; concurrent readers
 // are safe once built.
 type DistTable struct {
@@ -45,7 +46,9 @@ func (s *Schema) NewDistTable() *DistTable {
 		t.levelOff[b] = off
 		off += s.Segments << b
 	}
-	t.cells = make([]float64, off)
+	// Pad so that every full-cardinality row can be viewed as 256 cells
+	// (Row) whatever CardBits is; the padding is never read.
+	t.cells = make([]float64, off+(1<<MaxCardBits)-(1<<s.CardBits))
 	return t
 }
 
@@ -141,13 +144,14 @@ func (t *DistTable) MinDistPrefix(symbols, bits []uint8) float64 {
 	return sum * s.ratio
 }
 
-// Row returns segment seg's full-cardinality cell row (2^CardBits
-// unscaled cells, indexed by symbol) — the inner operand of segment-major
-// leaf scans: a whole leaf's lower bounds are w column passes of
-// acc[e] += row[col[e]], then one scale by Scale() per entry.
-func (t *DistTable) Row(seg int) []float64 {
-	s := t.schema
-	card := 1 << s.CardBits
-	off := t.levelOff[s.CardBits] + seg*card
-	return t.cells[off : off+card]
+// Row returns segment seg's full-cardinality cell row, indexed by
+// symbol, as a 256-cell view: only the first 2^CardBits cells belong to
+// the row (the rest are the next rows or padding), and a full-precision
+// symbol never reaches past them. The fixed length lets a uint8-indexed
+// load compile without a bounds check. Rows are the inner operand of
+// segment-major leaf scans: a whole leaf's lower bounds are w column
+// passes of acc[e] += row[col[e]], then one scale by Scale() per entry.
+func (t *DistTable) Row(seg int) *[1 << MaxCardBits]float64 {
+	off := t.levelOff[t.schema.CardBits] + seg<<t.schema.CardBits
+	return (*[1 << MaxCardBits]float64)(t.cells[off:])
 }

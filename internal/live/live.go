@@ -371,6 +371,11 @@ func (ix *Index) Append(s []float32) (int, error) {
 	if len(s) != ix.seriesLen {
 		return 0, fmt.Errorf("live: series length %d, index series length %d", len(s), ix.seriesLen)
 	}
+	// A non-finite series has no iSAX word, so the next rebuild could
+	// not index it: reject it before it reaches the WAL.
+	if i := core.FirstNonFinite(s); i >= 0 {
+		return 0, fmt.Errorf("%w: series[%d] = %v", core.ErrNonFinite, i, s[i])
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.closed {
@@ -402,6 +407,9 @@ func (ix *Index) AppendBatch(rows [][]float32) (int, error) {
 	for i, r := range rows {
 		if len(r) != ix.seriesLen {
 			return 0, fmt.Errorf("live: batch series %d has length %d, index series length %d", i, len(r), ix.seriesLen)
+		}
+		if j := core.FirstNonFinite(r); j >= 0 {
+			return 0, fmt.Errorf("%w: batch series %d: [%d] = %v", core.ErrNonFinite, i, j, r[j])
 		}
 	}
 	ix.mu.Lock()

@@ -173,7 +173,9 @@ func (ix *LiveIndex) prepareQuery(query []float32) []float32 {
 }
 
 // Append adds one series (copied) and returns its stable position. The
-// series is searchable as soon as Append returns, before any rebuild.
+// series is searchable as soon as Append returns, before any rebuild. A
+// series holding a NaN or ±Inf value is rejected with ErrNonFinite before
+// it reaches the write-ahead log.
 func (ix *LiveIndex) Append(s []float32) (int, error) {
 	if ix.normalize {
 		s = series.ZNormalized(s)
@@ -182,7 +184,8 @@ func (ix *LiveIndex) Append(s []float32) (int, error) {
 }
 
 // AppendBatch adds a batch of series (copied) atomically, returning the
-// position of the first; the batch occupies contiguous positions.
+// position of the first; the batch occupies contiguous positions. One
+// non-finite series (ErrNonFinite) rejects the whole batch.
 func (ix *LiveIndex) AppendBatch(rows [][]float32) (int, error) {
 	if ix.normalize {
 		normalized := make([][]float32, len(rows))

@@ -125,7 +125,8 @@ type Index struct {
 }
 
 // Build indexes a slice of equal-length series (each row is copied into
-// the index's contiguous storage).
+// the index's contiguous storage). A series holding a NaN or ±Inf value
+// fails the build with ErrNonFinite.
 func Build(rows [][]float32, opts *Options) (*Index, error) {
 	col, err := series.FromSlices(rows)
 	if err != nil {
@@ -137,6 +138,7 @@ func Build(rows [][]float32, opts *Options) (*Index, error) {
 // BuildFlat indexes flat row-major storage without copying: series i
 // occupies data[i*seriesLen:(i+1)*seriesLen]. The caller must not modify
 // data afterwards (with Options.Normalize the build itself rewrites it).
+// Like Build, it rejects non-finite values with ErrNonFinite.
 func BuildFlat(data []float32, seriesLen int, opts *Options) (*Index, error) {
 	col, err := series.NewCollection(data, seriesLen)
 	if err != nil {

@@ -545,3 +545,91 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 		lix.Close()
 	}
 }
+
+// TestNonFiniteDataRejected: a series holding NaN or ±Inf has no iSAX
+// word, so every way of putting data into an index rejects it with
+// ErrNonFinite. A rejected append must not reach the write-ahead log:
+// reopening the log finds only the series appended before it.
+func TestNonFiniteDataRejected(t *testing.T) {
+	const length, count = 64, 300
+	opts := &Options{LeafCapacity: 64, SearchWorkers: 4}
+	for vname, v := range map[string]float32{
+		"NaN":  float32(math.NaN()),
+		"+Inf": float32(math.Inf(1)),
+		"-Inf": float32(math.Inf(-1)),
+	} {
+		// poisoned returns fresh data whose middle series holds v.
+		poisoned := func() []float32 {
+			data := RandomWalk(count, length, 97)
+			data[(count/2)*length+length/3] = v
+			return data
+		}
+		// appendThenReopen appends a good series, then runs bad against
+		// a WAL-backed live index; the index and its replayed log must
+		// both hold only the good one.
+		appendThenReopen := func(t *testing.T, bad func(*LiveIndex) error) error {
+			lopts := &LiveOptions{WALDir: t.TempDir()}
+			lix, err := NewLive(length, opts, lopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := lix.Append(RandomWalk(1, length, 98)); err != nil {
+				t.Fatal(err)
+			}
+			badErr := bad(lix)
+			if n := lix.Len(); n != 1 {
+				t.Errorf("after the rejected append Len = %d, want 1", n)
+			}
+			if err := lix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := NewLive(length, opts, lopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := reopened.Len(); n != 1 {
+				t.Errorf("after WAL replay Len = %d, want 1", n)
+			}
+			if err := reopened.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return badErr
+		}
+		cases := map[string]func(t *testing.T) error{
+			"Build": func(*testing.T) error {
+				_, err := Build(rowsOf(poisoned(), length), opts)
+				return err
+			},
+			"BuildFlat": func(*testing.T) error {
+				_, err := BuildFlat(poisoned(), length, opts)
+				return err
+			},
+			"BuildLiveFlat": func(*testing.T) error {
+				lix, err := BuildLiveFlat(poisoned(), length, opts, nil)
+				if err == nil {
+					lix.Close()
+				}
+				return err
+			},
+			"Append": func(t *testing.T) error {
+				return appendThenReopen(t, func(lix *LiveIndex) error {
+					_, err := lix.Append(poisoned()[(count/2)*length : (count/2+1)*length])
+					return err
+				})
+			},
+			"AppendBatch": func(t *testing.T) error {
+				return appendThenReopen(t, func(lix *LiveIndex) error {
+					_, err := lix.AppendBatch(rowsOf(poisoned()[(count/2-1)*length:(count/2+2)*length], length))
+					return err
+				})
+			},
+		}
+		for name, fn := range cases {
+			t.Run(name+"/"+vname, func(t *testing.T) {
+				if err := fn(t); !errors.Is(err, ErrNonFinite) {
+					t.Errorf("err %v; want ErrNonFinite", err)
+				}
+			})
+		}
+	}
+}

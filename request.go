@@ -35,7 +35,8 @@ var (
 	ErrWrongLength = core.ErrWrongLength
 	// ErrBadEpsilon reports a negative or non-finite Epsilon.
 	ErrBadEpsilon = core.ErrBadEpsilon
-	// ErrNonFinite reports a query holding a NaN or ±Inf value.
+	// ErrNonFinite reports a query, or a series given to a build or an
+	// append, holding a NaN or ±Inf value.
 	ErrNonFinite = core.ErrNonFinite
 	// ErrQueryPanicked reports a query that panicked on a search worker
 	// (a pooled engine unit or a goroutine of a one-shot Index search).
