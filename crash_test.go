@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/persist"
+	"repro/internal/wal"
 )
 
 // The crash-recovery matrix: for every registered failpoint, run a live
@@ -370,4 +373,87 @@ func TestCrashRecoveryTruncatedLog(t *testing.T) {
 		}
 	}
 	rec.Close()
+}
+
+// TestWALReplayRejectsNonFinite: a WAL record holding NaN (written
+// straight through the log, past Append's check) must fail the boot
+// that would replay it — NewLive from the WAL alone and LoadLive from a
+// snapshot plus the WAL tail — with ErrNonFinite naming the record's
+// position, instead of replaying a row no rebuild can index.
+func TestWALReplayRejectsNonFinite(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := &Options{LeafCapacity: 64, IndexWorkers: 2, SearchWorkers: 2, Shards: shards}
+			lopts := &LiveOptions{RebuildThreshold: 1 << 30, WALDir: filepath.Join(dir, "wal")}
+			snap := filepath.Join(dir, "snap")
+			// poison journals a NaN row at the end of the closed log.
+			poison := func(pos int64) {
+				t.Helper()
+				log, err := wal.Open(lopts.WALDir, crashSeriesLen, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				row := crashRow(int(pos))
+				row[3] = float32(math.NaN())
+				if err := log.Append(pos, [][]float32{row}); err != nil {
+					t.Fatal(err)
+				}
+				if err := log.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantRejected := func(boot string, err error, pos int64) {
+				t.Helper()
+				if !errors.Is(err, ErrNonFinite) {
+					t.Fatalf("%s: err = %v, want ErrNonFinite", boot, err)
+				}
+				if want := fmt.Sprintf("position %d", pos); !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: err %q does not name %q", boot, err, want)
+				}
+			}
+
+			ix, err := NewLive(crashSeriesLen, opts, lopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if _, err := ix.Append(crashRow(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ix.Save(snap); err != nil { // covers positions 0-4
+				t.Fatal(err)
+			}
+			if _, err := ix.Append(crashRow(5)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			poison(6)
+
+			_, err = LoadLive(snap, opts, lopts)
+			wantRejected("LoadLive", err, 6)
+			if err := os.RemoveAll(snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.RemoveAll(lopts.WALDir); err != nil {
+				t.Fatal(err)
+			}
+			ix, err = NewLive(crashSeriesLen, opts, lopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ix.Append(crashRow(0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Close(); err != nil {
+				t.Fatal(err)
+			}
+			poison(1)
+			_, err = NewLive(crashSeriesLen, opts, lopts)
+			wantRejected("NewLive", err, 1)
+		})
+	}
 }

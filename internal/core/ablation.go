@@ -67,11 +67,7 @@ func BuildDirect(data *series.Collection, opts Options) (*Index, error) {
 	}
 	wg.Wait()
 
-	for l := 0; l < schema.RootFanout(); l++ {
-		if tr.Root(l) != nil {
-			ix.activeRoots = append(ix.activeRoots, int32(l))
-		}
-	}
+	ix.seal()
 	return ix, nil
 }
 
@@ -148,16 +144,13 @@ func BuildLockedBuffers(data *series.Collection, opts Options) (*Index, error) {
 				for _, pos := range positions {
 					tr.Insert(root, sax[int(pos)*w:(int(pos)+1)*w], pos)
 				}
+				tr.SealRoot(l)
 			}
 		}()
 	}
 	wg.Wait()
 
-	for l := 0; l < schema.RootFanout(); l++ {
-		if tr.Root(l) != nil {
-			ix.activeRoots = append(ix.activeRoots, int32(l))
-		}
-	}
+	ix.seal()
 	return ix, nil
 }
 

@@ -98,11 +98,7 @@ func BuildTimed(data *series.Collection, opts Options, timing *BuildTiming) (*In
 		timing.TreeBuild = time.Since(summarizeDone)
 	}
 
-	for l := 0; l < schema.RootFanout(); l++ {
-		if tr.Root(l) != nil {
-			ix.activeRoots = append(ix.activeRoots, int32(l))
-		}
-	}
+	ix.seal()
 	return ix, nil
 }
 
@@ -142,7 +138,8 @@ func summarizeWorker(ix *Index, bufs *buffer.Buffers, chunkCtr *atomic.Int64, pi
 }
 
 // treeWorker is one phase-2 worker: it drains whole buffers into their
-// subtrees.
+// subtrees and seals each subtree it completes, so sealing runs in
+// parallel too.
 func treeWorker(ix *Index, bufs *buffer.Buffers, bufCtr *atomic.Int64) {
 	fanout := ix.Schema.RootFanout()
 	for {
@@ -157,6 +154,7 @@ func treeWorker(ix *Index, bufs *buffer.Buffers, bufCtr *atomic.Int64) {
 		bufs.ForEach(l, func(word []uint8, pos int32) {
 			ix.Tree.Insert(root, word, pos)
 		})
+		ix.Tree.SealRoot(l)
 	}
 }
 

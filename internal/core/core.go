@@ -117,6 +117,21 @@ func (ix *Index) validateQuery(query []float32) error {
 	return nil
 }
 
+// seal readies a built tree for queries, the last step of every way an
+// Index is made (Build, BuildDirect, BuildLockedBuffers, Restore): it
+// seals each root subtree (tree.Tree.SealRoot: every leaf packed to
+// Stride == LeafLen with its symbol box recorded; the tree workers of
+// Build and BuildLockedBuffers have sealed theirs already, in parallel)
+// and lists the active roots.
+func (ix *Index) seal() {
+	for l := 0; l < ix.Tree.RootCount(); l++ {
+		if ix.Tree.Root(l) != nil {
+			ix.Tree.SealRoot(l)
+			ix.activeRoots = append(ix.activeRoots, int32(l))
+		}
+	}
+}
+
 // ActiveRoots returns the slots of non-empty root subtrees (read-only).
 func (ix *Index) ActiveRoots() []int32 { return ix.activeRoots }
 

@@ -40,6 +40,38 @@
 // MinDistEnvelopeWord); TestScanLeafBoundsMatchScalarKernel and
 // FuzzLeafBoundsEquivalence pin that order.
 //
+// # Sealing
+//
+// Every constructor of an Index — Build, Restore, BuildDirect and
+// BuildLockedBuffers — ends with one seal step (Index.seal). Build runs
+// it per root subtree inside its tree workers, so it runs in parallel;
+// the others seal every root at the end. Sealing a root subtree
+// (tree.Tree.SealRoot) packs each of its leaves — Stride == LeafLen and
+// Positions at exact capacity, freeing the spare room the growing
+// columns had; storage already packed, like a mapped snapshot's, is kept
+// as is — and records the leaf's symbol box, the per-segment min and max
+// of its entries' full-cardinality symbols (tree.Node.Lo/Hi). The box is
+// derived, not serialized, so the snapshot format does not change.
+//
+// The tree pass uses two bounds that need no more than that. A root's
+// bound comes from its slot number: one bit per segment, summed over the
+// table's one-bit level with running sums shared by consecutive slots
+// (rootBounds), bitwise equal to DistTable.MinDistPrefix, so a pruned
+// root's node is never loaded. A leaf is gated on its box before it is
+// queued (SearchRun.pushLeaf): every table row, PAA or DTW envelope, is
+// unimodal — it falls to the zero cells where a symbol's region meets
+// the query's range and rises after — so a row's smallest cell inside
+// [lo, hi] is its valley clamped into the box (DistTable.MinDistBox).
+// Summed in ascending segment order from +0, the box bound is bitwise
+// equal to the smallest entry bound the box admits, hence bitwise ≤
+// every entry's accumulate bound: a leaf it prunes holds no entry the
+// leaf scan would refine against the same pruning bound. Exact answers
+// therefore do not change, a leaf pruned only by the ε inflation leaves
+// its box bound as the witness (as any pruned node does), and the box
+// bound is the leaf's queue priority. TestRootSlotBoundMatchesPrefix,
+// FuzzLeafBoxBound and TestLeavesInsertedCountsBoxGate pin these
+// claims.
+//
 // # Contracts
 //
 // An *Index is immutable once Build returns: every search method is safe

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"math/bits"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -449,7 +450,8 @@ func (r *SearchRun) releaseTable() {
 // the shared counter's cache line the hottest spot of the tree pass. The
 // block is len(activeRoots)/(8·Workers), at least 1, so every worker
 // still expects about eight claims and a small tree keeps the one-root
-// grain; the stop check stays per root.
+// grain; the stop check stays per root. A root's bound comes from its
+// slot number (rootBounds), so a pruned root's node is never loaded.
 func (r *SearchRun) InsertPhase(pid int) {
 	ctrs, bd := r.opt.Counters, r.opt.Breakdown
 	cursor := pid % r.opt.Queues // round-robin insertion cursor (line 2)
@@ -461,6 +463,7 @@ func (r *SearchRun) InsertPhase(pid int) {
 	var insertTime time.Duration
 	roots := r.ix.activeRoots
 	block := max(1, len(roots)/(8*r.opt.Workers))
+	rb := newRootBounds(r.table)
 claim:
 	for {
 		end := int(r.rootCtr.Add(int64(block)))
@@ -473,13 +476,59 @@ claim:
 				r.qos.MarkTruncated()
 				break claim
 			}
-			r.traverse(r.ix.Tree.Root(int(slot)), &cursor, &insertTime, ctrs, bd)
+			ctrs.AddNodesVisited(1)
+			ctrs.AddLowerBound(1)
+			if r.prunes(rb.bound(slot)) {
+				continue
+			}
+			if root := r.ix.Tree.Root(int(slot)); root.IsLeaf() {
+				r.pushLeaf(root, &cursor, &insertTime, ctrs, bd)
+			} else {
+				r.traverse(root.Left, &cursor, &insertTime, ctrs, bd)
+				r.traverse(root.Right, &cursor, &insertTime, ctrs, bd)
+			}
 		}
 	}
 	if bd.Enabled() {
 		bd.Add(stats.PhaseTreePass, time.Since(tStart)-insertTime)
 		bd.Add(stats.PhasePQInsert, insertTime)
 	}
+}
+
+// rootBounds computes root subtrees' lower bounds from their slot
+// numbers alone. A root's prefix has one bit per segment — segment i
+// holds bit w-1-i of the slot — so its bound is a sum over the table's
+// one-bit level. rootBounds keeps the running prefix sums of the last
+// slot it bounded: a worker's slots ascend, consecutive ones share their
+// high bits, and a slot costs only the adds from its first changed
+// segment on. The sums start from +0 and run in ascending segment order,
+// as in DistTable.MinDistPrefix, so every bound is bitwise identical to
+// that of the root node's prefix.
+type rootBounds struct {
+	level []float64 // the table's one-bit level: cell (seg, bit) at 2·seg+bit
+	scale float64
+	w     int
+	last  int32                         // slot the sums belong to; -1 before the first
+	sums  [isax.MaxSegments + 1]float64 // sums[i]: the first i segments' cells
+}
+
+func newRootBounds(tab *isax.DistTable) rootBounds {
+	return rootBounds{level: tab.Level(1), scale: tab.Scale(), w: tab.Schema().Segments, last: -1}
+}
+
+// bound returns the lower bound of the root subtree at slot.
+func (b *rootBounds) bound(slot int32) float64 {
+	w, level := b.w, b.level
+	// The first segment whose bit changed; a last of -1 differs from
+	// every slot in bit 31, so the first slot sums all segments.
+	from := max(0, w-bits.Len32(uint32(slot^b.last)))
+	sum := b.sums[from]
+	for i := from; i < w; i++ {
+		sum += level[2*i+int(slot>>(w-1-i))&1]
+		b.sums[i+1] = sum
+	}
+	b.last = slot
+	return sum * b.scale
 }
 
 // DrainPhase is the queue-processing half of Algorithm 6 (lines 8-13):
@@ -526,40 +575,65 @@ func (ix *Index) Search(query []float32, opt SearchOptions) (Match, error) {
 	return r.Best(), nil
 }
 
-// traverse is Algorithm 7: prune subtrees whose lower bound exceeds the
-// BSF; push surviving leaves into the queues round-robin. Node bounds are
-// one table lookup per segment against the run's distance table.
+// traverse is Algorithm 7 below the root level: prune subtrees whose
+// prefix lower bound reaches the BSF and hand surviving leaves to
+// pushLeaf. A leaf is bounded by its symbol box alone, which is never
+// below its prefix bound.
 func (r *SearchRun) traverse(node *tree.Node, cursor *int, insertTime *time.Duration,
 	ctrs *stats.Counters, bd *stats.Breakdown) {
 
 	ctrs.AddNodesVisited(1)
-	dist := r.table.MinDistPrefix(node.Symbols, node.Bits)
-	ctrs.AddLowerBound(1)
-	if limit := r.bnd.Load(); dist*r.escale >= limit {
-		if dist < limit {
-			// Pruned only because of the (1+ε)² inflation: this subtree
-			// could hold something better than the BSF, but nothing below
-			// dist — record it as an answer-quality witness.
-			r.qos.PruneEps(dist)
-		}
+	if node.IsLeaf() {
+		r.pushLeaf(node, cursor, insertTime, ctrs, bd)
 		return
 	}
-	if node.IsLeaf() {
-		if node.LeafLen() == 0 {
-			return
-		}
-		if bd.Enabled() {
-			t0 := time.Now()
-			r.queues.PushRoundRobin(cursor, dist, node)
-			*insertTime += time.Since(t0)
-		} else {
-			r.queues.PushRoundRobin(cursor, dist, node)
-		}
-		ctrs.AddLeavesInserted(1)
+	ctrs.AddLowerBound(1)
+	if r.prunes(r.table.MinDistPrefix(node.Symbols, node.Bits)) {
 		return
 	}
 	r.traverse(node.Left, cursor, insertTime, ctrs, bd)
 	r.traverse(node.Right, cursor, insertTime, ctrs, bd)
+}
+
+// pushLeaf gates a leaf on its symbol box before it reaches the queues:
+// the box bound (isax.DistTable.MinDistBox over the leaf's sealed Lo/Hi)
+// is bitwise ≤ every entry's bound, so a leaf it prunes holds no entry
+// the leaf scan would refine, and it becomes the leaf's queue priority.
+func (r *SearchRun) pushLeaf(leaf *tree.Node, cursor *int, insertTime *time.Duration,
+	ctrs *stats.Counters, bd *stats.Breakdown) {
+
+	if leaf.LeafLen() == 0 {
+		return
+	}
+	w := r.ix.Schema.Segments
+	dist := r.table.MinDistBox(leaf.Lo[:w], leaf.Hi[:w])
+	ctrs.AddLowerBound(1)
+	if r.prunes(dist) {
+		return
+	}
+	if bd.Enabled() {
+		t0 := time.Now()
+		r.queues.PushRoundRobin(cursor, dist, leaf)
+		*insertTime += time.Since(t0)
+	} else {
+		r.queues.PushRoundRobin(cursor, dist, leaf)
+	}
+	ctrs.AddLeavesInserted(1)
+}
+
+// prunes reports whether lower bound dist prunes against the current
+// pruning bound. A bound pruned only because of the (1+ε)² inflation is
+// recorded as an answer-quality witness: what it bounds could beat the
+// BSF, but nothing below dist.
+func (r *SearchRun) prunes(dist float64) bool {
+	limit := r.bnd.Load()
+	if dist*r.escale < limit {
+		return false
+	}
+	if dist < limit {
+		r.qos.PruneEps(dist)
+	}
+	return true
 }
 
 // processQueue is Algorithm 8: repeatedly DeleteMin; once the popped bound

@@ -54,10 +54,6 @@ func Restore(st SnapshotState) (*Index, error) {
 		}
 	}
 	ix := &Index{Data: st.Data, Schema: schema, Tree: tr, Opts: opts}
-	for l := 0; l < schema.RootFanout(); l++ {
-		if tr.Root(l) != nil {
-			ix.activeRoots = append(ix.activeRoots, int32(l))
-		}
-	}
+	ix.seal()
 	return ix, nil
 }

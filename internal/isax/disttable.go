@@ -35,6 +35,10 @@ type DistTable struct {
 	// holds Segments × 2^b cells, segment-major (segment s's row starts
 	// at levelOff[b] + s<<b).
 	levelOff [MaxCardBits + 1]int
+	// valley[seg] is the first symbol at which full-cardinality row seg
+	// is smallest (for a real query, its first zero cell); MinDistBox
+	// clamps it into a box.
+	valley [MaxSegments]uint8
 }
 
 // NewDistTable allocates an empty distance table for this schema. Call
@@ -85,6 +89,7 @@ func (t *DistTable) build(upper, lower []float64) {
 	for seg := 0; seg < s.Segments; seg++ {
 		row := full[seg*card : (seg+1)*card]
 		u, l := upper[seg], lower[seg]
+		valley := 0
 		for sym := 0; sym < card; sym++ {
 			if lo := s.regionLower[sym]; u < lo {
 				d := lo - u
@@ -95,7 +100,11 @@ func (t *DistTable) build(upper, lower []float64) {
 			} else {
 				row[sym] = 0
 			}
+			if row[sym] < row[valley] {
+				valley = sym
+			}
 		}
+		t.valley[seg] = uint8(valley)
 	}
 	for b := s.CardBits - 1; b >= 1; b-- {
 		coarse := t.cells[t.levelOff[b]:]
@@ -142,6 +151,44 @@ func (t *DistTable) MinDistPrefix(symbols, bits []uint8) float64 {
 		sum += t.cells[t.levelOff[b]+(i<<b)+int(symbols[i])]
 	}
 	return sum * s.ratio
+}
+
+// Level returns level b's cells (1 ≤ b ≤ CardBits): Segments rows of
+// 2^b cells, segment-major, so cell (seg, sym) is at seg<<b + sym.
+func (t *DistTable) Level(b int) []float64 {
+	return t.cells[t.levelOff[b] : t.levelOff[b]+t.schema.Segments<<b]
+}
+
+// MinDistBox returns the squared lower bound against a box of
+// full-precision words — every word whose symbol for segment i lies in
+// [lo[i], hi[i]] — bitwise equal to the smallest MinDistWord over the
+// box, so never above the bound of any word inside it. Each row is
+// unimodal: region bounds ascend with the symbol, so cells fall to the
+// zero cells where the region meets the query's [lower, upper] range,
+// then rise (true of PAA and envelope tables alike, and exact in
+// floating point, whose subtraction and squaring are monotone). A row's
+// smallest cell inside the box is therefore the one at its valley
+// clamped into [lo[i], hi[i]] — one branch-free load per segment, summed
+// in ascending segment order like MinDistWord.
+func (t *DistTable) MinDistBox(lo, hi []uint8) float64 {
+	s := t.schema
+	full := t.Level(s.CardBits)
+	cb := uint(s.CardBits)
+	var sum float64
+	for i := 0; i < s.Segments; i++ {
+		sum += full[i<<cb+clamp(int(t.valley[i]), int(lo[i]), int(hi[i]))]
+	}
+	return sum * s.ratio
+}
+
+// clamp returns v clamped into [lo, hi] (lo ≤ hi) by sign masks rather
+// than min and max, which the compiler turns into jumps here — jumps
+// that boxes scattered around the query's valley mispredict.
+func clamp(v, lo, hi int) int {
+	d := v - lo
+	v = lo + d&^(d>>63) // max(v, lo)
+	e := v - hi
+	return hi + e&(e>>63) // min(v, hi)
 }
 
 // Row returns segment seg's full-cardinality cell row, indexed by

@@ -302,7 +302,10 @@ func (ix *Index) start(base *shard.Index) *Index {
 // loaded snapshot) are skipped; the remainder must form a contiguous
 // run starting exactly at the base length, or recovery refuses — a gap
 // means the snapshot predates the log's truncation point and acked
-// series would be silently lost.
+// series would be silently lost. A record holding NaN or ±Inf (one
+// written past Append's check, by an older build or by hand) fails
+// recovery with ErrNonFinite too: replayed, it would make every later
+// rebuild fail.
 func (ix *Index) replayWAL() error {
 	w := ix.opts.WAL
 	if w == nil {
@@ -323,6 +326,9 @@ func (ix *Index) replayWAL() error {
 	err := w.Replay(base, func(pos int64, s []float32) error {
 		if pos != expect {
 			return fmt.Errorf("live: wal replay gap: got position %d, want %d", pos, expect)
+		}
+		if i := core.FirstNonFinite(s); i >= 0 {
+			return fmt.Errorf("live: wal record at position %d: %w: series[%d] = %v", pos, core.ErrNonFinite, i, s[i])
 		}
 		if _, err := v.active.Append(s); err != nil {
 			return err

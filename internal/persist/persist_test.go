@@ -9,12 +9,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hash/crc32"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/shard"
+	"repro/internal/tree"
 )
 
 // buildIndex constructs a small index over deterministic data.
@@ -529,6 +531,55 @@ func TestRoundTripIdenticalAnswers(t *testing.T) {
 	for i := range want {
 		if want[i] != have[i] {
 			t.Fatalf("answer %d differs after round trip: %+v vs %+v", i, have[i], want[i])
+		}
+	}
+}
+
+// TestRestoreSeals: an index restored from either snapshot format,
+// streamed or decoded in place, comes back sealed (packed leaves with
+// exact symbol boxes), and sealing a mapped v2 image keeps every leaf's
+// words aliased to the image instead of copying them.
+func TestRestoreSeals(t *testing.T) {
+	ix := buildIndex(t, 1500, 64, 32)
+	for _, tc := range []struct {
+		name    string
+		raw     []byte
+		aliased bool // v1 words are transposed on load, so never aliased
+	}{
+		{"v1", encodeV1Snapshot(t, ix, false), false},
+		{"v2", snapshotBytes(t, ix, false), true},
+	} {
+		streamed, _, err := Read(bytes.NewReader(tc.raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		image := append([]byte(nil), tc.raw...)
+		mapped, _, err := decodeMapped(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for how, got := range map[string]*core.Index{"streamed": streamed, "mapped": mapped} {
+			if !got.Tree.Sealed() {
+				t.Fatalf("%s %s: restored tree not sealed", tc.name, how)
+			}
+			if err := got.Tree.CheckInvariants(); err != nil {
+				t.Fatalf("%s %s: %v", tc.name, how, err)
+			}
+		}
+		lo := uintptr(unsafe.Pointer(&image[0]))
+		hi := lo + uintptr(len(image))
+		leaves, inImage := 0, 0
+		mapped.Tree.ForEachLeaf(func(n *tree.Node) {
+			if n.LeafLen() == 0 {
+				return
+			}
+			leaves++
+			if p := uintptr(unsafe.Pointer(&n.Words[0])); p >= lo && p < hi {
+				inImage++
+			}
+		})
+		if want := map[bool]int{true: leaves, false: 0}[tc.aliased]; inImage != want {
+			t.Errorf("%s: %d of %d leaves alias the image, want %d", tc.name, inImage, leaves, want)
 		}
 	}
 }

@@ -31,6 +31,15 @@ import (
 // compiler-vectorizable loops instead of gathering one w-byte word per
 // entry — the cache-conscious summary layout of the paper's SIMD kernels
 // (and of the journal version's in-memory follow-up).
+//
+// Once its root subtree is sealed (Tree.SealRoot, run when an index is
+// built or restored) a leaf is packed — Stride == LeafLen and Positions
+// at exact capacity, no spare column room — and Lo/Hi hold its symbol
+// box: per segment, the smallest and largest full-cardinality symbol
+// among its entries. A query's table bound over the box
+// (isax.DistTable.MinDistBox) is bitwise ≤ every entry's bound and at
+// least the node's prefix bound, so it can gate the leaf before it is
+// queued. The box is derived from the words, never serialized.
 type Node struct {
 	Symbols []uint8 // per-segment symbol at this node's cardinality
 	Bits    []uint8 // per-segment cardinality bits (0 < bits <= CardBits)
@@ -43,7 +52,12 @@ type Node struct {
 	Positions []int32 // leaf entries: series positions
 	Size      int     // series under this node (leaf: len(Positions))
 
+	// Lo and Hi are a sealed, non-empty leaf's symbol box (the first
+	// Segments entries; see type comment).
+	Lo, Hi [isax.MaxSegments]uint8
+
 	unsplittable bool // every segment already at max cardinality
+	sealed       bool // on a root subtree's top node: SealRoot ran
 }
 
 // IsLeaf reports whether the node is a leaf.
@@ -86,6 +100,32 @@ func (n *Node) PackedWords(w int) []uint8 {
 		copy(out[s*count:], n.Words[s*n.Stride:s*n.Stride+count])
 	}
 	return out
+}
+
+// Seal packs a leaf's storage (columns of exactly LeafLen bytes,
+// Positions at exact capacity; storage already packed is kept, not
+// copied, so a snapshot's mapped columns stay aliased) and records its
+// symbol box in Lo/Hi. An empty leaf drops its storage and keeps a zero
+// box. w is the segment count.
+func (n *Node) Seal(w int) {
+	count := len(n.Positions)
+	if count == 0 {
+		n.Words, n.Positions, n.Stride = nil, nil, 0
+		return
+	}
+	n.Words = n.PackedWords(w)
+	n.Stride = count
+	if cap(n.Positions) != count {
+		n.Positions = append(make([]int32, 0, count), n.Positions...)
+	}
+	for s := 0; s < w; s++ {
+		col := n.Col(s)
+		lo, hi := col[0], col[0]
+		for _, sym := range col[1:] {
+			lo, hi = min(lo, sym), max(hi, sym)
+		}
+		n.Lo[s], n.Hi[s] = lo, hi
+	}
 }
 
 // appendEntry adds one <word, position> pair to a leaf's columns,
@@ -164,9 +204,35 @@ func (t *Tree) EnsureRoot(l int) *Node {
 	return n
 }
 
+// SealRoot seals every leaf of root subtree l (Node.Seal) once the
+// subtree is complete; calling it again is a no-op, and so is sealing an
+// empty slot. Nothing may be inserted into a sealed subtree. Like
+// building, it needs exclusive access to slot l, so workers that own
+// distinct slots may seal them concurrently.
+func (t *Tree) SealRoot(l int) {
+	root := t.roots[l]
+	if root == nil || root.sealed {
+		return
+	}
+	w := t.Schema.Segments
+	forEachLeaf(root, func(n *Node) { n.Seal(w) })
+	root.sealed = true
+}
+
+// Sealed reports whether every non-empty root subtree is sealed.
+func (t *Tree) Sealed() bool {
+	for _, r := range t.roots {
+		if r != nil && !r.sealed {
+			return false
+		}
+	}
+	return true
+}
+
 // Insert adds a <word, position> entry under the given root child,
 // splitting full leaves on the way (Algorithm 4, lines 7-11). The word
-// must belong to that root subtree (callers route via Schema.RootIndex).
+// must belong to that root subtree (callers route via Schema.RootIndex),
+// and the subtree must not be sealed yet.
 func (t *Tree) Insert(root *Node, word []uint8, pos int32) {
 	w := t.Schema.Segments
 	n := root
@@ -364,12 +430,15 @@ func (t *Tree) Stats() Stats {
 
 // CheckInvariants validates the structural invariants of the tree:
 // prefix consistency of every leaf entry, child summary derivation,
-// size bookkeeping, and leaf capacity (unless unsplittable). It is meant
-// for tests and costs a full walk.
+// size bookkeeping, and leaf capacity (unless unsplittable). In a sealed
+// root subtree every leaf must also be packed (Stride == LeafLen,
+// Positions at exact capacity) with a box equal to its entries' exact
+// per-segment symbol min and max. It is meant for tests and costs a full
+// walk.
 func (t *Tree) CheckInvariants() error {
 	w := t.Schema.Segments
-	var check func(n *Node, rootSlot int) (int, error)
-	check = func(n *Node, rootSlot int) (int, error) {
+	var check func(n *Node, rootSlot int, sealed bool) (int, error)
+	check = func(n *Node, rootSlot int, sealed bool) (int, error) {
 		for seg := 0; seg < w; seg++ {
 			if n.Bits[seg] == 0 || int(n.Bits[seg]) > t.Schema.CardBits {
 				return 0, fmt.Errorf("tree: node under root %d has bad bits[%d]=%d", rootSlot, seg, n.Bits[seg])
@@ -399,6 +468,11 @@ func (t *Tree) CheckInvariants() error {
 			if n.Size != n.LeafLen() {
 				return 0, fmt.Errorf("tree: leaf size %d != entries %d under root %d", n.Size, n.LeafLen(), rootSlot)
 			}
+			if sealed {
+				if err := checkSealed(n, w); err != nil {
+					return 0, fmt.Errorf("tree: sealed leaf under root %d: %w", rootSlot, err)
+				}
+			}
 			return n.LeafLen(), nil
 		}
 		if n.Left == nil || n.Right == nil {
@@ -416,11 +490,11 @@ func (t *Tree) CheckInvariants() error {
 		if n.Left.Symbols[seg]&1 != 0 || n.Right.Symbols[seg]&1 != 1 {
 			return 0, fmt.Errorf("tree: children not 0/1 ordered at segment %d under root %d", seg, rootSlot)
 		}
-		ln, err := check(n.Left, rootSlot)
+		ln, err := check(n.Left, rootSlot, sealed)
 		if err != nil {
 			return 0, err
 		}
-		rn, err := check(n.Right, rootSlot)
+		rn, err := check(n.Right, rootSlot, sealed)
 		if err != nil {
 			return 0, err
 		}
@@ -441,8 +515,31 @@ func (t *Tree) CheckInvariants() error {
 				return fmt.Errorf("tree: root child %d symbol mismatch at segment %d", l, seg)
 			}
 		}
-		if _, err := check(r, l); err != nil {
+		if _, err := check(r, l, r.sealed); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkSealed validates a sealed leaf: packed storage and an exact
+// symbol box.
+func checkSealed(n *Node, w int) error {
+	count := n.LeafLen()
+	if n.Stride != count || cap(n.Positions) != count {
+		return fmt.Errorf("not packed: stride %d, %d positions (capacity %d)", n.Stride, count, cap(n.Positions))
+	}
+	if count == 0 {
+		return nil
+	}
+	for s := 0; s < w; s++ {
+		col := n.Col(s)
+		lo, hi := col[0], col[0]
+		for _, sym := range col {
+			lo, hi = min(lo, sym), max(hi, sym)
+		}
+		if n.Lo[s] != lo || n.Hi[s] != hi {
+			return fmt.Errorf("segment %d box [%d,%d], entries span [%d,%d]", s, n.Lo[s], n.Hi[s], lo, hi)
 		}
 	}
 	return nil

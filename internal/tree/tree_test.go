@@ -304,6 +304,60 @@ func TestInvariantCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestSealPacksAndBoxes: SealRoot packs every leaf of its subtree and
+// records the exact symbol box, is idempotent, and CheckInvariants
+// rejects a sealed leaf whose box or packing is off — while an unsealed
+// subtree keeps its spare column room unchecked.
+func TestSealPacksAndBoxes(t *testing.T) {
+	s := newSchema(t)
+	tr, _ := New(s, 8)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 3000; i++ {
+		word := wordFromRandomSeries(rng, s)
+		tr.Insert(tr.EnsureRoot(s.RootIndex(word)), word, int32(i))
+	}
+	unpacked := 0
+	tr.ForEachLeaf(func(n *Node) {
+		if n.Stride != n.LeafLen() {
+			unpacked++
+		}
+	})
+	if unpacked == 0 {
+		t.Fatal("no leaf with spare column room: the test would not see packing")
+	}
+	if tr.Sealed() {
+		t.Fatal("unsealed tree reports sealed")
+	}
+	for l := 0; l < tr.RootCount(); l++ {
+		tr.SealRoot(l)
+		tr.SealRoot(l) // idempotent, empty slots included
+	}
+	if !tr.Sealed() {
+		t.Fatal("tree not sealed after SealRoot on every slot")
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	var leaf *Node
+	tr.ForEachLeaf(func(n *Node) {
+		if leaf == nil && n.LeafLen() > 2 {
+			leaf = n
+		}
+	})
+	if leaf == nil {
+		t.Fatal("no multi-entry leaf")
+	}
+	leaf.Hi[3]++
+	if err := tr.CheckInvariants(); err == nil {
+		t.Error("widened box not detected")
+	}
+	leaf.Hi[3]--
+	leaf.grow(s.Segments) // same entries, spare column room again
+	if err := tr.CheckInvariants(); err == nil {
+		t.Error("unpacked sealed leaf not detected")
+	}
+}
+
 func BenchmarkInsert(b *testing.B) {
 	s, err := isax.NewSchema(64, 16, 8)
 	if err != nil {

@@ -2,9 +2,14 @@ package messi
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/dtw"
+	"repro/internal/scan"
+	"repro/internal/series"
 )
 
 // doer is any public query frontend: Index, LiveIndex or Engine.
@@ -392,6 +397,108 @@ func TestSeriesAccessor(t *testing.T) {
 	for _, pos := range []int{-1, len(rows), len(rows) + 10} {
 		if _, err := ix.Series(pos); err == nil {
 			t.Errorf("Series(%d) did not error", pos)
+		}
+	}
+}
+
+// TestExactAtScaleWithBoxGate checks answers against brute force at a
+// scale where leaves hold many entries (default LeafCapacity, 50K
+// series), so leaf symbol boxes are far tighter than leaf prefixes and
+// the box gate prunes real leaves: exact 1-NN, k=5, ε=0.1 and DTW
+// (window 0.1), unsharded and 2-way sharded, then on a live index with
+// 500 appended series before and after they are merged into a rebuilt
+// (sealed) generation.
+func TestExactAtScaleWithBoxGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50K-series brute-force comparison")
+	}
+	const length, count, eps = 64, 50000, 0.1
+	data := RandomWalk(count, length, 501)
+	extra := RandomWalk(500, length, 502)
+	queries := RandomWalk(4, length, 503)
+	// One query close to an appended series: only the live index holds it.
+	near := append([]float32(nil), extra[123*length:124*length]...)
+	near[7] += 0.01
+	queries = append(queries, near...)
+	window := dtw.WindowSize(length, 0.1)
+
+	// check compares ix's answers over the collection in flat with
+	// brute force.
+	check := func(name string, ix doer, flat []float32) {
+		t.Helper()
+		col, err := series.NewCollection(flat, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := 0; qi*length < len(queries); qi++ {
+			q := queries[qi*length : (qi+1)*length]
+			want, err := scan.SearchKNN(col, q, 5, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ix.Do(context.Background(), SearchRequest{Query: q, K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range res.Matches {
+				if math.Abs(m.Distance-math.Sqrt(want[i].Dist)) > 1e-4 || !res.Exact {
+					t.Fatalf("%s query %d k-NN rank %d: %+v (exact=%v), brute force %+v", name, qi, i, m, res.Exact, want[i])
+				}
+			}
+			one, err := search(ix, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.Position != want[0].Position || math.Abs(one.Distance-math.Sqrt(want[0].Dist)) > 1e-4 {
+				t.Fatalf("%s query %d: 1-NN %+v, brute force %+v", name, qi, one, want[0])
+			}
+			approx, err := best(ix, SearchRequest{Query: q, Mode: ModeEpsilon, Epsilon: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opt := math.Sqrt(want[0].Dist); approx.Distance < opt-1e-4 || approx.Distance > (1+eps)*opt+1e-4 {
+				t.Fatalf("%s query %d: ε=%v answer %v outside [%v, (1+ε)·%v]", name, qi, eps, approx.Distance, opt, opt)
+			}
+			wantDTW, err := scan.SearchDTW(col, q, window, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotDTW, err := best(ix, SearchRequest{Query: q, DTW: true, Window: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(gotDTW.Distance-math.Sqrt(wantDTW.Dist)) > 1e-4 {
+				t.Fatalf("%s query %d: DTW %+v, brute force %+v", name, qi, gotDTW, wantDTW)
+			}
+		}
+	}
+
+	union := append(append([]float32(nil), data...), extra...)
+	for _, shards := range []int{1, 2} {
+		opts := &Options{Shards: shards}
+		ix, err := BuildFlat(data, length, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ix.Stats(); st.MaxLeafFill < 100 {
+			t.Fatalf("shards=%d: largest leaf holds %d entries; boxes would not be exercised", shards, st.MaxLeafFill)
+		}
+		check(fmt.Sprintf("shards=%d", shards), ix, data)
+
+		lix, err := BuildLiveFlat(append([]float32(nil), data...), length, opts, &LiveOptions{RebuildThreshold: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lix.AppendBatch(rowsOf(extra, length)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("live shards=%d", shards), lix, union)
+		if err := lix.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("live shards=%d flushed", shards), lix, union)
+		if err := lix.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
